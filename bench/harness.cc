@@ -111,9 +111,12 @@ RunOutcome TimedRun(const BipartiteGraph& graph, const Options& options,
                     double budget_seconds, uint64_t max_results) {
   RunOutcome outcome;
   CountSink counter;
-  BudgetSink budget(&counter, max_results, budget_seconds);
 
+  // Both budgets go through the run's own control, so the deadline clock
+  // is the one Enumerate reports `seconds` against.
   Options run_options = options;
+  run_options.control.deadline_seconds = budget_seconds;
+  run_options.control.max_results = max_results;
   util::MemoryTracker tracker;
   if (options.algorithm == Algorithm::kMbet ||
       options.algorithm == Algorithm::kMbetM) {
@@ -122,16 +125,10 @@ RunOutcome TimedRun(const BipartiteGraph& graph, const Options& options,
 
   RunResult run;
   // Bench configs are static and valid; a failure here is a harness bug.
-  const util::Status status = Enumerate(graph, run_options, &budget, &run);
+  const util::Status status = Enumerate(graph, run_options, &counter, &run);
   PMBE_CHECK_MSG(status.ok(), "%s", status.ToString().c_str());
-  // A run is truncated iff one of the budgets tripped during it.
-  outcome.completed = true;
-  if (budget_seconds > 0 && run.seconds >= budget_seconds) {
-    outcome.completed = false;
-  }
-  if (max_results > 0 && budget.emitted() >= max_results) {
-    outcome.completed = false;
-  }
+  // Completed means the run says so; elapsed time never decides it.
+  outcome.completed = run.termination == Termination::kComplete;
   outcome.seconds = run.seconds;
   outcome.bicliques = counter.count();
   outcome.stats = run.stats;

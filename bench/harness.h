@@ -63,7 +63,9 @@ struct RunOutcome {
 };
 
 /// Runs `options` on `graph` counting results, stopping at
-/// `budget_seconds` (0 = unlimited) or `max_results` (0 = unlimited).
+/// `budget_seconds` (0 = unlimited) or `max_results` (0 = unlimited); both
+/// override `options.control`. The outcome is completed only when the run
+/// reports Termination::kComplete.
 RunOutcome TimedRun(const BipartiteGraph& graph, const Options& options,
                     double budget_seconds, uint64_t max_results = 0);
 

@@ -67,6 +67,11 @@ util::Status GraphOptions::Validate() const {
 }
 
 util::Status RunOptions::Validate() const {
+  if (algorithm > kLastAlgorithm) {
+    return util::Status::InvalidArgument(
+        "unknown algorithm id " +
+        std::to_string(static_cast<int>(algorithm)));
+  }
   if (threads == 0) {
     return util::Status::InvalidArgument("threads must be >= 1 (got 0)");
   }

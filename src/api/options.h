@@ -42,6 +42,11 @@ enum class Algorithm {
                 ///< (Baudin et al. 2024) — the large-sparse-graph engine
 };
 
+/// The last Algorithm enumerator. Algorithm ids that arrive as integers
+/// (the serving wire protocol) are valid up to this one, and
+/// RunOptions::Validate rejects the rest.
+inline constexpr Algorithm kLastAlgorithm = Algorithm::kBbk;
+
 /// Parses "mbet", "mbetm", "minelmbc", "mbea", "imbea", "oombea", "bbk"
 /// into `*algorithm`; returns InvalidArgument (leaving `*algorithm`
 /// untouched) on unknown names.

@@ -71,31 +71,7 @@ uint32_t MbetEnumerator::SplitHint(VertexId v, uint32_t max_shards,
   if (graph_.RightDegree(v) < options_.min_left) return 1;
   bool pruned = false;
   if (!builder_.Build(v, &root_, &root_absorbed_, &pruned)) return 1;
-  const uint64_t work = EstimateSubtreeWork(root_);
-  if (work < min_work) return 1;
-  uint32_t candidates = 0;
-  for (const RootEntry& entry : root_.entries) {
-    candidates += entry.forbidden ? 0 : 1;
-  }
-  // Shallow-wide subtrees (small min side, long candidate list) are
-  // dominated by the depth-0 classification pass, which every shard
-  // re-pays in full — splitting them multiplies their dominant cost
-  // instead of dividing it. Only subtrees whose min side is deep enough
-  // for the per-candidate expansions to amortize the duplicated root
-  // work are worth sharding.
-  constexpr uint64_t kMinSplitSide = 16;
-  if (std::min<uint64_t>(root_.l0.size(), candidates) < kMinSplitSide) {
-    return 1;
-  }
-  // Every shard re-pays the root build, so shards must each carry at least
-  // min_work of estimated subtree work: k = work / min_work, capped by the
-  // shard limit and by the candidate count (aggregation at depth 0 can merge
-  // candidates, so the count is an upper bound; surplus shards just no-op).
-  const uint64_t by_work = work / std::max<uint64_t>(1, min_work);
-  const uint64_t k = std::min<uint64_t>(
-      std::min<uint64_t>(max_shards, std::max<uint32_t>(1, candidates)),
-      by_work);
-  return static_cast<uint32_t>(std::max<uint64_t>(1, k));
+  return SplitShards(root_, max_shards, min_work);
 }
 
 void MbetEnumerator::EnumerateShard(VertexId v, uint32_t shard,

@@ -123,11 +123,12 @@ class MbetEnumerator {
 
   /// Subtree splitting support for the work-stealing scheduler. Returns
   /// how many shards subtree(v)'s top-level candidate loop is worth
-  /// splitting into: >1 only when the subtree's estimated work
-  /// (EstimateSubtreeWork) reaches `min_work` and the subtree is deep
-  /// enough (min side >= kMinSplitSide) to amortize the root build and
-  /// depth-0 scan every shard re-pays. Shards are sized to carry at least
-  /// `min_work` each; capped at `max_shards` and the candidate count.
+  /// splitting into (SplitShards in core/subtree.h): >1 only when the
+  /// subtree's predicted time (EstimateSubtreeWork, ns) reaches `min_work`
+  /// ns and the subtree is deep enough (min side >= 16) to amortize the
+  /// root build and depth-0 scan every shard re-pays. Shards are sized to
+  /// carry at least `min_work` ns of predicted time each; capped at
+  /// `max_shards` and the candidate count.
   /// Builds the root once as a side effect (into the enumerator's scratch);
   /// EnumerateShard rebuilds it, so the hint stays stateless to callers.
   uint32_t SplitHint(VertexId v, uint32_t max_shards, uint64_t min_work);

@@ -74,10 +74,28 @@ class SubtreeBuilder {
   MembershipMask l_mask_;
 };
 
-/// Estimated work of subtree(v): the standard `min(|L0|, |C0|) * |C0|`
-/// node-count proxy used for load-aware scheduling decisions. Returns 0
-/// for empty subtrees. Cheap: degree lookups plus one two-hop scan.
+/// Predicted single-thread enumeration time of the subtree rooted at
+/// `root`, in nanoseconds; 0 for an empty root. A cost model fitted to
+/// per-subtree timings (see subtree.cc for the fit):
+///
+///   t = e^-18.36 s · (|entries|+1)^1.04 · cand^0.25 · |L0|^0.60
+///         · exp(0.47 · d · min(|L0|, cand))
+///
+/// where cand counts the non-forbidden entries and d is their mean local
+/// density Σ loc_len / (cand · |L0|). Every node's maximality scan visits
+/// all entries, forbidden ones included, so entries count linearly; only
+/// candidates branch, so only they feed the exponential term. Cheap: one
+/// pass over the entries of an already-built root.
 uint64_t EstimateSubtreeWork(const SubtreeRoot& root);
+
+/// The split policy MBET, BBK and MBEA share: how many shards the
+/// subtree rooted at `root` is worth for the work-stealing scheduler.
+/// Returns k > 1 only when EstimateSubtreeWork reaches `min_work` (same
+/// units, ns) and min(|L0|, cand) >= 16, so every shard carries at least
+/// `min_work` of predicted time; k is capped at `max_shards` and at the
+/// candidate count.
+uint32_t SplitShards(const SubtreeRoot& root, uint32_t max_shards,
+                     uint64_t min_work);
 
 }  // namespace mbe
 

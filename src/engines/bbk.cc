@@ -30,24 +30,7 @@ uint32_t BbkEnumerator::SplitHint(VertexId v, uint32_t max_shards,
   if (max_shards <= 1) return 1;
   bool pruned = false;
   if (!builder_.Build(v, &root_, &root_absorbed_, &pruned)) return 1;
-  const uint64_t work = EstimateSubtreeWork(root_);
-  if (work < min_work) return 1;
-  uint32_t candidates = 0;
-  for (const RootEntry& entry : root_.entries) {
-    candidates += entry.forbidden ? 0 : 1;
-  }
-  // Shallow-wide subtrees are dominated by the root build every shard
-  // re-pays; only split when the min side is deep enough to amortize it
-  // (same reasoning as MbetEnumerator::SplitHint).
-  constexpr uint64_t kMinSplitSide = 16;
-  if (std::min<uint64_t>(root_.l0.size(), candidates) < kMinSplitSide) {
-    return 1;
-  }
-  const uint64_t by_work = work / std::max<uint64_t>(1, min_work);
-  const uint64_t k = std::min<uint64_t>(
-      std::min<uint64_t>(max_shards, std::max<uint32_t>(1, candidates)),
-      by_work);
-  return static_cast<uint32_t>(std::max<uint64_t>(1, k));
+  return SplitShards(root_, max_shards, min_work);
 }
 
 bool BbkEnumerator::BuildRootState(VertexId v, bool* pruned) {

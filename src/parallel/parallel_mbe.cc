@@ -116,8 +116,8 @@ EnumStats RunWorkStealing(const BipartiteGraph& graph,
   // right-degree ascending. Each worker's seeds are pushed lightest-first,
   // so the owner (LIFO at the bottom) starts on its heaviest subtree while
   // thieves (FIFO at the top) take the light tail. Degree is the cheap
-  // seeding proxy; the accurate EstimateSubtreeWork needs the built root
-  // and is what SplitHint uses at pickup.
+  // seeding proxy; the cost model (EstimateSubtreeWork) needs the built
+  // root and is what SplitHint uses at pickup.
   std::vector<uint64_t> seeds;
   if (frontier != nullptr) {
     seeds = frontier->PendingTasks();

@@ -99,14 +99,17 @@ struct ParallelOptions {
   /// disables splitting). Bounded by kMaxTaskShards.
   uint32_t max_split = 8;
 
-  /// Estimated-work bar (EstimateSubtreeWork units) above which a subtree
-  /// is split unconditionally at pickup. When a thief is starving the bar
-  /// drops to a quarter of this, so stragglers also break up mid-sized
-  /// subtrees. The default is deliberately high: every shard re-pays the
-  /// subtree's root build and depth-0 scan, so splitting only pays off for
-  /// the monster subtrees that would otherwise serialize a run's tail —
-  /// mid-sized subtrees balance fine as whole-subtree steals.
-  uint64_t split_min_work = 1 << 16;
+  /// Predicted-time bar, in nanoseconds (EstimateSubtreeWork units): a
+  /// subtree predicted to take at least this long is split at pickup into
+  /// k = estimate / bar shards (capped by max_split), so each shard
+  /// carries at least the bar's worth of predicted time. When a thief is
+  /// starving the bar drops to a quarter of this, so stragglers also break
+  /// up mid-sized subtrees. The default (64 ms) is deliberately high:
+  /// every shard re-pays the subtree's root build and depth-0 scan, so
+  /// splitting only pays off for the monster subtrees that would otherwise
+  /// serialize a run's tail — mid-sized subtrees balance fine as
+  /// whole-subtree steals.
+  uint64_t split_min_work = 64'000'000;
 
   /// Per-worker BufferedSink flush thresholds: flush after this many
   /// buffered bicliques or this many buffered arena bytes, whichever

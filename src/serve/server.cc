@@ -619,11 +619,6 @@ void Server::StartSession(const std::shared_ptr<Connection>& conn,
                     std::string(RejectReasonName(reason)) +
                         (detail.empty() ? "" : ": " + detail)});
   };
-  if (msg.algorithm > static_cast<uint8_t>(Algorithm::kOombeaLite)) {
-    reject(RejectReason::kBadOptions,
-           "unknown algorithm " + std::to_string(msg.algorithm));
-    return;
-  }
   std::shared_ptr<const Engine> engine = registry_.Get(msg.graph);
   if (engine == nullptr) {
     reject(RejectReason::kUnknownGraph, "'" + msg.graph + "'");

@@ -188,6 +188,29 @@ TEST(WorkStealingDriverTest, SplitsHeavySubtreeAndMatchesSerial) {
   EXPECT_GT(merged.busy_ns, 0u);
 }
 
+TEST(WorkStealingDriverTest, DefaultBarSplitsHubSubtree) {
+  // In input order the hub is right vertex 0 and every other block vertex
+  // is one of its candidates: one subtree of ~0.25 s predicted time. The
+  // default ParallelOptions bar (64 ms) must split it.
+  const BipartiteGraph graph =
+      gen::HubBlock(80, 50, 120, 60, 0.4, 0.02, /*seed=*/3);
+  Options options;
+  options.order = VertexOrder::kNone;
+  FingerprintSink serial_sink;
+  RunResult serial;
+  ASSERT_TRUE(Enumerate(graph, options, &serial_sink, &serial).ok());
+  ASSERT_GT(serial_sink.count(), 1000u);
+
+  options.threads = 4;
+  FingerprintSink sink;
+  RunResult run;
+  ASSERT_TRUE(Enumerate(graph, options, &sink, &run).ok());
+  EXPECT_EQ(run.termination, Termination::kComplete);
+  EXPECT_GT(run.stats.split_tasks, 0u) << "hub subtree was never split";
+  EXPECT_EQ(sink.count(), serial_sink.count());
+  EXPECT_EQ(sink.Digest(), serial_sink.Digest());
+}
+
 TEST(WorkStealingDriverTest, SplitDisabledStillMatchesSerial) {
   BipartiteGraph graph = gen::HubBlock(40, 30, 40, 60, 0.4, 0.03, 8);
   CountSink serial_sink;

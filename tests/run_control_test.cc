@@ -330,6 +330,14 @@ TEST(ValidateTest, RejectsEachMalformedField) {
     o.control.deadline_seconds = -1;
     EXPECT_EQ(o.Validate().code(), util::StatusCode::kInvalidArgument);
   }
+  {
+    // Ids past the last enumerator (e.g. from the wire) are unknown.
+    Options o;
+    o.algorithm = static_cast<Algorithm>(static_cast<int>(kLastAlgorithm) + 1);
+    EXPECT_EQ(o.Validate().code(), util::StatusCode::kInvalidArgument);
+    o.algorithm = kLastAlgorithm;
+    EXPECT_TRUE(o.Validate().ok());
+  }
 }
 
 TEST(ValidateTest, ParallelSupportMatrix) {

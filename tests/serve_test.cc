@@ -380,7 +380,12 @@ TEST(ServeTest, DeadlineAndBudgetTerminatePerSession) {
   h.server->registry().Put("huge", HugeEngine());
   h.StartAndConnect();
 
-  StartSessionMsg deadline = SlowStart("huge");
+  // Full enumeration (no thresholds) for the deadline leg: SlowStart's
+  // pruned run is ~0.1 s of CPU, which a 4-thread pool can finish inside
+  // 50 ms — and a session that completes before its deadline rightly
+  // reports kComplete.
+  StartSessionMsg deadline;
+  deadline.graph = "huge";
   deadline.deadline_seconds = 0.05;
   StartSessionMsg budget = SlowStart("huge");
   budget.max_memory_bytes = 1 << 12;  // 4 KiB: certain to be exceeded
@@ -424,6 +429,38 @@ TEST(ServeTest, DeadlineAndBudgetTerminatePerSession) {
   EXPECT_EQ(deadline_hits, 1);
   EXPECT_EQ(memory_hits, 1);
   EXPECT_EQ(complete_hits, 1);
+}
+
+TEST(ServeTest, BbkSessionMatchesMbetDigest) {
+  Harness h("bbk");
+  h.server->registry().Put("g", SmallEngine());
+  h.StartAndConnect();
+
+  std::map<uint64_t, FingerprintSink> sinks;
+  for (Algorithm algorithm : {Algorithm::kMbet, Algorithm::kBbk}) {
+    StartSessionMsg start;
+    start.graph = "g";
+    start.algorithm = static_cast<uint8_t>(algorithm);
+    ASSERT_TRUE(h.client.Send(start));
+    // The reply is kSessionStarted, or kRejected for an unserved engine.
+    std::optional<Message> started = h.client.Read();
+    ASSERT_TRUE(started.has_value());
+    ASSERT_TRUE(std::holds_alternative<SessionStartedMsg>(*started))
+        << AlgorithmName(algorithm) << " session was not started";
+    const uint64_t id = std::get<SessionStartedMsg>(*started).session_id;
+    std::map<uint64_t, FingerprintSink*> routes = {{id, &sinks[id]}};
+    std::optional<Message> done =
+        h.client.ReadUntil(MsgType::kSessionDone, &routes);
+    ASSERT_TRUE(done.has_value());
+    const auto& d = std::get<SessionDoneMsg>(*done);
+    EXPECT_EQ(d.termination, static_cast<uint8_t>(Termination::kComplete))
+        << AlgorithmName(algorithm);
+    EXPECT_EQ(d.digest, sinks[id].Digest());
+    EXPECT_GT(sinks[id].count(), 0u);
+  }
+  ASSERT_EQ(sinks.size(), 2u);
+  EXPECT_EQ(sinks.begin()->second.Digest(), sinks.rbegin()->second.Digest());
+  EXPECT_EQ(sinks.begin()->second.count(), sinks.rbegin()->second.count());
 }
 
 TEST(ServeTest, UnknownGraphAndBadOptionsRejected) {

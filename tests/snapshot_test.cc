@@ -402,12 +402,14 @@ struct DurableRun {
 
 DurableRun RunDurable(const BipartiteGraph& graph, Algorithm algorithm,
                       unsigned threads, const std::string& path,
-                      bool resume = false) {
+                      bool resume = false,
+                      VertexOrder order = VertexOrder::kDegreeAsc) {
   // Fresh durable runs refuse to overwrite an existing snapshot; clear
   // any leftover from an earlier (possibly crashed) test run.
   if (!resume) std::remove(path.c_str());
   Options options;
   options.algorithm = algorithm;
+  options.order = order;
   options.threads = threads;
   options.checkpoint.path = path;
   options.checkpoint.resume = resume;
@@ -486,6 +488,60 @@ TEST(CheckpointResumeTest, InterruptedRunResumesToReferenceDigest) {
       // interrupted ones were re-run exactly once.
       const DurableRun resumed =
           RunDurable(graph, algorithm, threads, path, /*resume=*/true);
+      EXPECT_EQ(resumed.termination, Termination::kComplete);
+      EXPECT_EQ(resumed.pending, 0u);
+      EXPECT_EQ(resumed.digest, reference.digest)
+          << AlgorithmName(algorithm) << " x" << threads;
+      std::remove(path.c_str());
+    }
+  }
+}
+
+TEST(CheckpointResumeTest, InterruptedWhileHubIsSplitResumesToReferenceDigest) {
+  // In input order the hub subtree (right vertex 0) holds nearly every
+  // biclique and is predicted heavy enough to split under the default bar,
+  // so a result budget stops the run inside its shards.
+  const BipartiteGraph graph =
+      gen::HubBlock(80, 50, 120, 60, 0.4, 0.02, /*seed=*/3);
+  for (Algorithm algorithm : {Algorithm::kMbet, Algorithm::kBbk}) {
+    const std::string ref_path = TempPath("hub_ref.pmbf");
+    const DurableRun reference = RunDurable(
+        graph, algorithm, 1, ref_path, /*resume=*/false, VertexOrder::kNone);
+    std::remove(ref_path.c_str());
+    ASSERT_EQ(reference.termination, Termination::kComplete);
+
+    for (unsigned threads : {1u, 4u}) {
+      const std::string path = TempPath("hub_interrupted.pmbf");
+      std::remove(path.c_str());
+      Options options;
+      options.algorithm = algorithm;
+      options.order = VertexOrder::kNone;
+      options.threads = threads;
+      options.checkpoint.path = path;
+      options.checkpoint.every_s = 3600;
+      options.control.max_results = reference.emitted / 3 + 1;
+      CountSink sink;
+      RunResult run;
+      ASSERT_TRUE(Enumerate(graph, options, &sink, &run).ok());
+      EXPECT_EQ(run.termination, Termination::kBudget);
+      EXPECT_GT(run.stats.split_tasks, 0u)
+          << AlgorithmName(algorithm) << " x" << threads;
+
+      // The snapshot holds hub shards still pending: the stop landed
+      // while the hub was split.
+      util::StatusOr<FrontierSnapshot> snap = ReadSnapshotFile(path);
+      ASSERT_TRUE(snap.ok());
+      bool hub_shard_pending = false;
+      for (uint64_t word : snap.value().pending) {
+        const StealTask task = DecodeTask(word);
+        hub_shard_pending |= task.v == 0 && task.num_shards > 1;
+      }
+      EXPECT_TRUE(hub_shard_pending)
+          << AlgorithmName(algorithm) << " x" << threads;
+
+      const DurableRun resumed = RunDurable(graph, algorithm, threads, path,
+                                            /*resume=*/true,
+                                            VertexOrder::kNone);
       EXPECT_EQ(resumed.termination, Termination::kComplete);
       EXPECT_EQ(resumed.pending, 0u);
       EXPECT_EQ(resumed.digest, reference.digest)

@@ -124,5 +124,59 @@ TEST(SubtreeWorkTest, EstimateScalesWithRootSize) {
   EXPECT_EQ(EstimateSubtreeWork(empty), 0u);
 }
 
+// A root of `candidates` candidates and `forbidden` forbidden entries over
+// an L0 of `l0` vertices; every entry's local covers `loc_len` of L0.
+SubtreeRoot SyntheticRoot(uint32_t l0, uint32_t candidates,
+                          uint32_t forbidden, uint32_t loc_len) {
+  SubtreeRoot root;
+  root.seed = forbidden;
+  for (uint32_t x = 0; x < l0; ++x) root.l0.push_back(x);
+  for (uint32_t i = 0; i < candidates + forbidden; ++i) {
+    root.entries.push_back({.w = i + (i < forbidden ? 0 : 1),
+                            .forbidden = i < forbidden,
+                            .loc_off = 0,
+                            .loc_len = loc_len});
+  }
+  return root;
+}
+
+TEST(SubtreeWorkTest, ForbiddenEntriesScanButDoNotBranch) {
+  // Thousands of forbidden entries and no candidate: one root scan, no
+  // branching (milliseconds). 60 dense candidates: exponential branching
+  // (seconds). The estimate must rank them that way round.
+  const SubtreeRoot forbidden_only = SyntheticRoot(100, 0, 6286, 5);
+  const SubtreeRoot dense = SyntheticRoot(100, 60, 0, 40);
+  EXPECT_LT(EstimateSubtreeWork(forbidden_only), EstimateSubtreeWork(dense));
+
+  // Forbidden entries still cost: the maximality scan visits them.
+  EXPECT_LT(EstimateSubtreeWork(SyntheticRoot(100, 60, 0, 40)),
+            EstimateSubtreeWork(SyntheticRoot(100, 60, 3000, 40)));
+  // Denser candidate locals branch more.
+  EXPECT_LT(EstimateSubtreeWork(SyntheticRoot(100, 60, 0, 10)),
+            EstimateSubtreeWork(SyntheticRoot(100, 60, 0, 40)));
+}
+
+TEST(SubtreeWorkTest, EstimateSaturatesInsteadOfOverflowing) {
+  const uint64_t huge = EstimateSubtreeWork(SyntheticRoot(5000, 5000, 0, 5000));
+  EXPECT_GT(huge, uint64_t{1} << 60);
+  EXPECT_LT(huge, ~uint64_t{0});
+}
+
+TEST(SubtreeWorkTest, SplitShardsSizesShardsToTheBar) {
+  const SubtreeRoot dense = SyntheticRoot(100, 60, 0, 40);
+  const uint64_t work = EstimateSubtreeWork(dense);
+  ASSERT_GT(work, 0u);
+  EXPECT_EQ(SplitShards(dense, 64, work / 3), 3u);
+  EXPECT_EQ(SplitShards(dense, 2, work / 3), 2u);   // shard cap
+  EXPECT_EQ(SplitShards(dense, 64, 1), 60u);        // candidate cap
+  EXPECT_EQ(SplitShards(dense, 1, 1), 1u);          // splitting disabled
+  EXPECT_EQ(SplitShards(dense, 64, work + 1), 1u);  // below the bar
+
+  // Shallow-wide roots never split, whatever their estimate: every shard
+  // would re-pay the depth-0 pass that dominates them.
+  EXPECT_EQ(SplitShards(SyntheticRoot(100, 15, 6000, 40), 64, 1), 1u);
+  EXPECT_EQ(SplitShards(SyntheticRoot(15, 200, 0, 10), 64, 1), 1u);
+}
+
 }  // namespace
 }  // namespace mbe
