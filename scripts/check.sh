@@ -9,9 +9,9 @@
 # cancellation terminates promptly and cleanly under the sanitizers. Then
 # the configuration matrices: the set-representation legs
 # (PMBE_FORCE_BITMAP on/off), the kernel-dispatch legs (scalar pin via
-# PMBE_FORCE_SCALAR=1, AVX2 compiled out via -DPMBE_ENABLE_AVX2=OFF), and
-# the engine legs (mbet/imbea/bbk), all required to enumerate identical
-# bicliques; the fault-injection matrix
+# PMBE_FORCE_SCALAR=1, AVX2 compiled out via -DPMBE_ENABLE_AVX2=OFF), the
+# tuner legs (default vs --tune) and the engine legs (mbet/imbea/bbk), all
+# required to enumerate identical bicliques; the fault-injection matrix
 # (-DPMBE_FAULT_INJECTION=ON + ASan: countdown sweep over every fault
 # point, chaos rounds, CLI/env arming, graph_io/frontier/wire fuzz
 # smokes); the serve leg (daemon + concurrent digest-verified sessions,
@@ -145,15 +145,14 @@ if [[ "$scalar_count" != "${matrix_count[OFF]}" || \
 fi
 echo "kernel-dispatch matrix OK: $scalar_count bicliques in every leg"
 
-echo "=== batch-frontier matrix: widths 1/16/64 + --tune, every leg count-identical ==="
-# The batched classification frontier (docs/TUNING.md) must be
-# behaviorally invisible: the same bicliques whether candidates are
-# classified one at a time (--batch_width 1), in the widest windows
-# (--batch_width 64), or with the workload-adaptive tuner choosing the
-# knobs (--tune) — under the sanitizers, on the scalar-pinned table, and
-# in the AVX2-compiled-out build. Reuses the builds from the legs above.
-batch_ref=""
-for cfg in "--batch_width 1" "--batch_width 16" "--batch_width 64" "--tune"; do
+echo "=== tuner matrix: default vs --tune, every leg count-identical ==="
+# The workload-adaptive tuner (docs/TUNING.md) trades speed and memory,
+# never output: the same bicliques with the default knobs and with the
+# tuner choosing them (--tune) — under the sanitizers, on the
+# scalar-pinned table, and in the AVX2-compiled-out build. Reuses the
+# builds from the legs above.
+tune_ref=""
+for cfg in "" "--tune"; do
   for leg in asan scalar noavx2; do
     case "$leg" in
       asan)   out=$("$BUILD_DIR/tools/pmbe" --dataset DBT --scale 0.2 \
@@ -165,20 +164,20 @@ for cfg in "--batch_width 1" "--batch_width 16" "--batch_width 64" "--tune"; do
     esac
     count=$(echo "$out" | grep -o '[0-9]* maximal bicliques' | grep -o '[0-9]*')
     [[ -n "$count" ]] || {
-      echo "FAIL: no biclique count from leg $leg ($cfg)" >&2
+      echo "FAIL: no biclique count from leg $leg (${cfg:-default})" >&2
       exit 1
     }
-    if [[ -z "$batch_ref" ]]; then
-      batch_ref="$count"
-    elif [[ "$count" != "$batch_ref" ]]; then
-      echo "FAIL: batch matrix diverges: leg $leg ($cfg) found $count" \
-           "bicliques, reference found $batch_ref" >&2
+    if [[ -z "$tune_ref" ]]; then
+      tune_ref="$count"
+    elif [[ "$count" != "$tune_ref" ]]; then
+      echo "FAIL: tuner matrix diverges: leg $leg (${cfg:-default}) found" \
+           "$count bicliques, reference found $tune_ref" >&2
       exit 1
     fi
-    echo "  [$leg, $cfg] $count bicliques"
+    echo "  [$leg, ${cfg:-default}] $count bicliques"
   done
 done
-echo "batch matrix OK: $batch_ref bicliques in every leg"
+echo "tuner matrix OK: $tune_ref bicliques in every leg"
 
 echo "=== engine matrix: mbet / imbea / bbk count-identical on every leg ==="
 # The interchangeable engines (docs/ALGORITHM.md) must enumerate the same

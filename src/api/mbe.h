@@ -98,9 +98,9 @@ struct Options {
   MbetOptions mbet;
 
   /// Workload-adaptive auto-tuning (core/tuner.h, docs/TUNING.md): pick
-  /// `mbet.bitmap_density`, `mbet.batch_width`, and `max_split` from the
-  /// engine's sampled graph profile instead of the fields above. Results
-  /// are byte-identical either way; the decision is recorded in
+  /// `mbet.bitmap_density` and `max_split` from the engine's sampled
+  /// graph profile instead of the fields above. Results are
+  /// byte-identical either way; the decision is recorded in
   /// `RunResult::stats` (auto_tuned / tuned_*).
   bool auto_tune = false;
 

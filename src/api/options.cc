@@ -94,11 +94,6 @@ util::Status RunOptions::Validate() const {
         "mbet.bitmap_density must be >= 0 (0 forces bitmaps, > 1 disables "
         "them)");
   }
-  if (mbet.batch_width == 0 || mbet.batch_width > 64) {
-    return util::Status::InvalidArgument(
-        "mbet.batch_width must be in [1, 64] (1 disables the batched "
-        "frontier)");
-  }
   if (max_split == 0 || max_split > kMaxTaskShards) {
     return util::Status::InvalidArgument(
         "max_split must be in [1, " + std::to_string(kMaxTaskShards) +

@@ -117,9 +117,9 @@ struct RunOptions {
 
   /// Workload-adaptive auto-tuning (core/tuner.h, docs/TUNING.md): the
   /// session maps the engine's sampled graph profile through the tuner's
-  /// decision table and overrides `mbet.bitmap_density`,
-  /// `mbet.batch_width`, and `max_split` with its picks (the fields above
-  /// keep their values; only the effective run configuration changes).
+  /// decision table and overrides `mbet.bitmap_density` and `max_split`
+  /// with its picks (the fields above keep their values; only the
+  /// effective run configuration changes).
   /// The decision is recorded in EnumStats::auto_tuned / tuned_*. Results
   /// are byte-identical under any decision — the tuned knobs trade speed
   /// and memory, never output.

@@ -162,53 +162,6 @@ size_t NeighborhoodTrie::ClassifyAll(const MembershipMask& mask,
   return n;
 }
 
-size_t NeighborhoodTrie::ClassifyAllBatch(const uint64_t* batch_words,
-                                          size_t width,
-                                          uint32_t* counts) const {
-  // Same walk as ClassifyAll with the per-depth running count widened to a
-  // row of `width` lanes. The interleaved layout puts all of a vertex's
-  // slot words on one (or two) cache lines, so each node costs one stream
-  // read plus `width` bit probes of hot data instead of `width` separate
-  // passes re-reading the node stream.
-  std::fill_n(counts, next_group_.size() * width, 0u);
-  count_stack_.resize((static_cast<size_t>(max_depth_) + 1) * width);
-  uint32_t* stack = count_stack_.data();
-  const uint64_t* packed = packed_.data();
-  const size_t n = packed_.size();
-  constexpr size_t kPrefetchAhead = 8;
-  for (size_t i = 0; i < n; ++i) {
-    if (i + kPrefetchAhead < n) {
-      const uint64_t ahead = packed[i + kPrefetchAhead];
-      __builtin_prefetch(batch_words +
-                         (static_cast<size_t>(static_cast<VertexId>(ahead)) >>
-                          6) * width);
-      if ((i & 7) == 0) __builtin_prefetch(packed + i + kPrefetchAhead);
-    }
-    const uint64_t node = packed[i];
-    const VertexId vertex = static_cast<VertexId>(node);
-    const uint32_t depth = static_cast<uint32_t>(node >> 32);
-    const uint64_t* row =
-        batch_words + (static_cast<size_t>(vertex) >> 6) * width;
-    const unsigned shift = static_cast<unsigned>(vertex & 63);
-    uint32_t* dst = stack + static_cast<size_t>(depth) * width;
-    if (depth) {
-      const uint32_t* src = dst - width;
-      for (size_t w = 0; w < width; ++w) {
-        dst[w] = src[w] + static_cast<uint32_t>((row[w] >> shift) & 1);
-      }
-    } else {
-      for (size_t w = 0; w < width; ++w) {
-        dst[w] = static_cast<uint32_t>((row[w] >> shift) & 1);
-      }
-    }
-    for (int32_t g = first_group_[i]; g >= 0; g = next_group_[g]) {
-      uint32_t* out_row = counts + static_cast<size_t>(g) * width;
-      for (size_t w = 0; w < width; ++w) out_row[w] = dst[w];
-    }
-  }
-  return n;
-}
-
 size_t NeighborhoodTrie::MemoryBytes() const {
   return packed_.capacity() * sizeof(uint64_t) +
          first_group_.capacity() * sizeof(int32_t) +

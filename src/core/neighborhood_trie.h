@@ -62,18 +62,6 @@ class NeighborhoodTrie {
   size_t ClassifyAll(const MembershipMask& mask,
                      std::vector<uint32_t>* counts) const;
 
-  /// Batched form: classifies every group against `width` membership masks
-  /// in ONE pass over the trie. `batch_words` is the interleaved
-  /// word-transposed layout of util/simd.h's classify_batch (bit x of mask
-  /// slot w is bit x%64 of batch_words[(x/64)*width + w]); `counts` is a
-  /// caller-sized [num_groups() × width] row-major matrix receiving
-  /// counts[g*width + w] = |list(g) ∩ mask w|. Each trie node is probed
-  /// once per call instead of once per mask, so the node stream (the
-  /// memory-bound side) is read width× less often. Returns the number of
-  /// trie nodes probed, identical to one ClassifyAll pass.
-  size_t ClassifyAllBatch(const uint64_t* batch_words, size_t width,
-                          uint32_t* counts) const;
-
   /// Number of trie nodes.
   size_t num_nodes() const { return packed_.size(); }
 

@@ -83,7 +83,6 @@ const char* TunerEngineName(TunerEngine engine);
 /// RunOptions; defaults equal the untuned defaults.
 struct TunerDecision {
   double bitmap_density = 0.10;
-  uint32_t batch_width = 16;
   uint32_t max_split = 8;
   TunerRule rule = TunerRule::kNone;
   /// Which engine the profile's regime favors (docs/TUNING.md). Advisory:

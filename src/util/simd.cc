@@ -22,8 +22,7 @@ const KernelTable kScalarTable = {
     internal::ScalarIntersectSizeCapped, internal::ScalarIsSubset,
     internal::ScalarDifference,    internal::ScalarMaskCount,
     internal::ScalarMaskFilter,    internal::ScalarAndWords,
-    internal::ScalarAndCount,      internal::ScalarClassifyBatch,
-    internal::ScalarAndCountBatch,
+    internal::ScalarAndCount,
 };
 
 const KernelTable& TableFor(DispatchLevel level) {
@@ -172,7 +171,6 @@ KernelCallCounters SnapshotKernelCalls() {
   out.difference = totals[static_cast<size_t>(KernelOp::kDifference)];
   out.mask = totals[static_cast<size_t>(KernelOp::kMask)];
   out.word = totals[static_cast<size_t>(KernelOp::kWord)];
-  out.batch = totals[static_cast<size_t>(KernelOp::kBatch)];
   return out;
 }
 

@@ -267,7 +267,6 @@ const KernelTable& Sse42KernelTable() {
       SseIntersect,     SseIntersectSize, SseIntersectSizeCapped,
       SseIsSubset,      SseDifference,    ScalarMaskCount,
       ScalarMaskFilter, ScalarAndWords,   ScalarAndCount,
-      ScalarClassifyBatch, ScalarAndCountBatch,
   };
   return table;
 }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/mbe.h"
 #include "core/mbet.h"
 #include "core/verify.h"
 #include "gen/generators.h"
@@ -163,6 +164,36 @@ TEST(MbetStatsTest, SubtreePrunesAppearOnTwinHeavyGraphs) {
   engine.EnumerateAll(&sink);
   EXPECT_EQ(sink.count(), 1u);  // one maximal biclique: ({0,1}, all V)
   EXPECT_EQ(engine.stats().subtrees_pruned, 9u);
+}
+
+TEST(MbetStatsTest, CandidatesClassifiedPerCandidateOnly) {
+  // MBET classifies every candidate with the one per-candidate trie pass;
+  // the two batch counters that perfbench still reads must stay 0 on every
+  // entry point, serial, parallel and tuned.
+  BipartiteGraph graph = Workload();
+  MbetOptions options;
+  options.trie_min_groups = 1;  // force the trie everywhere
+  CountSink sink;
+  MbetEnumerator engine(graph, options);
+  engine.EnumerateAll(&sink);
+  EXPECT_GT(engine.stats().trie_probes, 0u);
+  EXPECT_EQ(engine.stats().batch_candidates_classified, 0u);
+
+  for (unsigned threads : {1u, 4u}) {
+    for (bool tune : {false, true}) {
+      Options o;
+      o.threads = threads;
+      o.auto_tune = tune;
+      CountSink api_sink;
+      RunResult run;
+      ASSERT_TRUE(Enumerate(graph, o, &api_sink, &run).ok());
+      EXPECT_EQ(api_sink.count(), sink.count());
+      EXPECT_EQ(run.stats.batch_candidates_classified, 0u)
+          << "threads=" << threads << " tune=" << tune;
+      EXPECT_EQ(run.stats.simd_batch_calls, 0u)
+          << "threads=" << threads << " tune=" << tune;
+    }
+  }
 }
 
 TEST(MbetStatsTest, EnumStatsMergeAddsFields) {

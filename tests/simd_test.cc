@@ -216,75 +216,6 @@ TEST(SimdKernelTest, MaskAndWordKernelsMatchScalar) {
   }
 }
 
-// --- Batched multi-mask kernels ------------------------------------------
-
-// The batch kernels answer `width` single-mask queries in one pass over an
-// interleaved word-transposed layout (bit x of slot w lives at bit x%64 of
-// words[(x>>6)*width + w]). Every level and every width in [1, 64] must
-// byte-match the long-standing per-candidate kernels.
-TEST(SimdKernelTest, BatchKernelsMatchPerCandidateScalar) {
-  using namespace simd::internal;
-  util::Rng rng(314159);
-  const std::vector<DispatchLevel> levels = AvailableLevels();
-  ASSERT_FALSE(levels.empty());
-  for (uint64_t round = 0; round < 150; ++round) {
-    const size_t universe = 1 + rng.Below(500);
-    const size_t nwords = (universe + 63) / 64;
-    // Cycle widths so every value in [1, 64] (including the AVX2 fallback
-    // widths with width % 4 != 0) is exercised multiple times.
-    const size_t width = 1 + (round + rng.Below(7)) % 64;
-
-    std::vector<uint64_t> batch(nwords * width, 0);
-    std::vector<std::vector<uint64_t>> flat(
-        width, std::vector<uint64_t>(nwords, 0));
-    for (size_t w = 0; w < width; ++w) {
-      for (VertexId x : RandomSorted(universe, universe, rng)) {
-        batch[(static_cast<size_t>(x) >> 6) * width + w] |=
-            uint64_t{1} << (x & 63);
-        flat[w][x >> 6] |= uint64_t{1} << (x & 63);
-      }
-    }
-    const std::vector<VertexId> probes = RandomSorted(200, universe, rng);
-    std::vector<uint64_t> group(nwords);
-    for (uint64_t& g : group) g = rng.Next();
-
-    // Per-candidate reference: one single-mask scalar call per slot.
-    std::vector<uint32_t> expect_classify(width), expect_and(width);
-    for (size_t w = 0; w < width; ++w) {
-      expect_classify[w] = static_cast<uint32_t>(
-          ScalarMaskCount(probes.data(), probes.size(), flat[w].data()));
-      expect_and[w] = static_cast<uint32_t>(
-          ScalarAndCount(group.data(), flat[w].data(), nwords));
-    }
-
-    for (DispatchLevel lvl : levels) {
-      ScopedDispatch forced(lvl);
-      ASSERT_TRUE(forced.installed());
-      const simd::KernelTable& k = simd::Kernels();
-      const char* name = simd::DispatchLevelName(lvl);
-
-      // Poisoned so a kernel that forgets to overwrite a slot fails.
-      std::vector<uint32_t> counts(width, 0xdeadbeefu);
-      k.classify_batch(probes.data(), probes.size(), batch.data(), width,
-                       counts.data());
-      for (size_t w = 0; w < width; ++w) {
-        ASSERT_EQ(counts[w], expect_classify[w])
-            << name << " classify round " << round << " width " << width
-            << " slot " << w;
-      }
-
-      std::fill(counts.begin(), counts.end(), 0xdeadbeefu);
-      k.and_count_batch(group.data(), batch.data(), nwords, width,
-                        counts.data());
-      for (size_t w = 0; w < width; ++w) {
-        ASSERT_EQ(counts[w], expect_and[w])
-            << name << " and_count round " << round << " width " << width
-            << " slot " << w;
-      }
-    }
-  }
-}
-
 // --- set_ops routing equivalence ----------------------------------------
 
 TEST(SimdKernelTest, SetOpsIdenticalAcrossStrategiesAndLevels) {
@@ -349,76 +280,40 @@ TEST(SimdDispatchTest, KernelCallCountersAdvance) {
 
 // --- Whole-engine digest identity across levels --------------------------
 
+// Every engine, dispatch level and thread count must enumerate the same
+// set: one reference digest per graph across the whole matrix.
 TEST(SimdDispatchTest, EnginesDigestIdenticalAcrossLevels) {
   util::Rng rng(777);
   const std::vector<DispatchLevel> levels = AvailableLevels();
   for (int g = 0; g < 4; ++g) {
     const BipartiteGraph graph =
         gen::ErdosRenyi(30 + g * 10, 25 + g * 5, 0.15, rng.Next());
-    for (Algorithm algorithm :
-         {Algorithm::kMbet, Algorithm::kImbea, Algorithm::kMineLmbc}) {
-      uint64_t ref_digest = 0;
-      uint64_t ref_count = 0;
-      for (size_t li = 0; li < levels.size(); ++li) {
-        ScopedDispatch forced(levels[li]);
-        FingerprintSink sink;
-        Options options;
-        options.algorithm = algorithm;
-        RunResult run = Enumerate(graph, options, &sink);
-        EXPECT_EQ(static_cast<DispatchLevel>(run.stats.kernel_dispatch),
-                  levels[li]);
-        if (li == 0) {
-          ref_digest = sink.Digest();
-          ref_count = sink.count();
-        } else {
-          EXPECT_EQ(sink.Digest(), ref_digest)
-              << "algorithm " << static_cast<int>(algorithm) << " level "
-              << simd::DispatchLevelName(levels[li]);
-          EXPECT_EQ(sink.count(), ref_count);
-        }
-      }
-    }
-  }
-}
-
-// The batched frontier must be invisible in the output: any batch width,
-// any thread count, any dispatch level — same digest, same count.
-TEST(SimdDispatchTest, EnginesDigestIdenticalAcrossBatchWidths) {
-  util::Rng rng(424242);
-  const std::vector<DispatchLevel> levels = AvailableLevels();
-  for (int g = 0; g < 3; ++g) {
-    const BipartiteGraph graph =
-        gen::ErdosRenyi(40 + g * 8, 30 + g * 6, 0.18, rng.Next());
     uint64_t ref_digest = 0;
     uint64_t ref_count = 0;
     bool have_ref = false;
-    for (DispatchLevel lvl : levels) {
-      ScopedDispatch forced(lvl);
-      for (uint32_t width : {1u, 8u, 32u}) {
+    for (Algorithm algorithm : {Algorithm::kMbet, Algorithm::kBbk,
+                                Algorithm::kImbea, Algorithm::kMineLmbc}) {
+      for (DispatchLevel lvl : levels) {
+        ScopedDispatch forced(lvl);
         for (unsigned threads : {1u, 8u}) {
+          if (threads > 1 && !SupportsParallel(algorithm)) continue;
           FingerprintSink sink;
           Options options;
-          options.mbet.batch_width = width;
+          options.algorithm = algorithm;
           options.threads = threads;
           RunResult run = Enumerate(graph, options, &sink);
+          ASSERT_TRUE(run.complete());
+          EXPECT_EQ(static_cast<DispatchLevel>(run.stats.kernel_dispatch),
+                    lvl);
           if (!have_ref) {
             ref_digest = sink.Digest();
             ref_count = sink.count();
             have_ref = true;
           } else {
-            ASSERT_EQ(sink.Digest(), ref_digest)
-                << simd::DispatchLevelName(lvl) << " batch_width " << width
-                << " threads " << threads;
-            ASSERT_EQ(sink.count(), ref_count);
-          }
-          if (width == 1) {
-            EXPECT_EQ(run.stats.batch_kernel_calls, 0u)
-                << "batch_width 1 must take the per-candidate path";
-            EXPECT_EQ(run.stats.batch_candidates_classified, 0u);
-          } else if (threads == 1) {
-            // Graphs this size have nodes with >= 2 eligible candidates.
-            EXPECT_GT(run.stats.batch_candidates_classified, 0u)
-                << "batch_width " << width;
+            EXPECT_EQ(sink.Digest(), ref_digest)
+                << AlgorithmName(algorithm) << " level "
+                << simd::DispatchLevelName(lvl) << " threads " << threads;
+            EXPECT_EQ(sink.count(), ref_count);
           }
         }
       }

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "api/mbe.h"
 #include "core/tuner.h"
 #include "gen/generators.h"
@@ -50,13 +53,12 @@ TEST(TunerDecisionTest, TableRowsPinned) {
   p.num_left = 1000;
   p.num_right = 1000;
 
-  // Row 1: too little total work -> narrow windows, no splitting.
+  // Row 1: too little total work -> no splitting.
   p.num_edges = 100;
   p.density = 0.5;  // even a dense tiny graph stays "tiny"
   {
     const TunerDecision d = Tune(p);
     EXPECT_EQ(d.rule, TunerRule::kTiny);
-    EXPECT_EQ(d.batch_width, 8u);
     EXPECT_EQ(d.max_split, 1u);
     EXPECT_EQ(d.engine, TunerEngine::kMbet);
   }
@@ -67,7 +69,6 @@ TEST(TunerDecisionTest, TableRowsPinned) {
   {
     const TunerDecision d = Tune(p);
     EXPECT_EQ(d.rule, TunerRule::kDense);
-    EXPECT_EQ(d.batch_width, 32u);
     EXPECT_DOUBLE_EQ(d.bitmap_density, 0.05);
     EXPECT_EQ(d.engine, TunerEngine::kMbet);
   }
@@ -86,7 +87,6 @@ TEST(TunerDecisionTest, TableRowsPinned) {
   {
     const TunerDecision d = Tune(p);
     EXPECT_EQ(d.rule, TunerRule::kSkewed);
-    EXPECT_EQ(d.batch_width, 8u);
     EXPECT_EQ(d.max_split, 32u);
     EXPECT_EQ(d.engine, TunerEngine::kBbk);
     EXPECT_DOUBLE_EQ(d.bitmap_density, 0.0);
@@ -97,7 +97,6 @@ TEST(TunerDecisionTest, TableRowsPinned) {
   {
     const TunerDecision d = Tune(p);
     EXPECT_EQ(d.rule, TunerRule::kSparse);
-    EXPECT_EQ(d.batch_width, 16u);
     EXPECT_EQ(d.max_split, 8u);
     EXPECT_EQ(d.engine, TunerEngine::kBbk);
     EXPECT_DOUBLE_EQ(d.bitmap_density, 0.0);
@@ -143,7 +142,6 @@ TEST(TunerEndToEndTest, AutoTunedRunIsOutputIdenticalAndRecorded) {
   ASSERT_TRUE(Enumerate(graph, o, &tuned, &run).ok());
   EXPECT_EQ(run.stats.auto_tuned, 1u);
   EXPECT_NE(run.stats.tuner_rule, static_cast<uint64_t>(TunerRule::kNone));
-  EXPECT_GE(run.stats.tuned_batch_width, 1u);
   EXPECT_GE(run.stats.tuned_max_split, 1u);
   EXPECT_GT(run.stats.tuned_bitmap_density_x1000, 0u);
   // This fixture is dense (density 0.15 >= 0.08), so the engine pick is
@@ -222,6 +220,38 @@ TEST(TunerEndToEndTest, AutoTuneAppliesToParallelRuns) {
   EXPECT_EQ(run.stats.auto_tuned, 1u);
   EXPECT_EQ(tuned.Digest(), ref.Digest());
   EXPECT_EQ(tuned.count(), ref.count());
+}
+
+TEST(TunerEndToEndTest, TunedRunsMatchDefaultOnEveryRow) {
+  // One graph per reachable table row (tiny, dense, and the sparse
+  // power-law shape that recommends BBK): whatever knobs and engine a row
+  // picks, the tuned run must enumerate exactly the default run's set,
+  // serial and parallel.
+  const std::vector<BipartiteGraph> graphs = {
+      gen::ErdosRenyi(8, 8, 0.2, 3),
+      gen::ErdosRenyi(60, 60, 0.3, 3),
+      gen::PowerLaw(200, 150, 1200, 0.85, 0.8, 22),
+  };
+  std::set<TunerRule> rules;
+  for (const BipartiteGraph& graph : graphs) {
+    const TunerRule rule = Tune(ProfileGraph(graph, /*seed=*/1)).rule;
+    rules.insert(rule);
+    FingerprintSink ref;
+    ASSERT_TRUE(Enumerate(graph, Options(), &ref, nullptr).ok());
+    for (unsigned threads : {1u, 4u}) {
+      FingerprintSink tuned;
+      Options o;
+      o.auto_tune = true;
+      o.threads = threads;
+      RunResult run;
+      ASSERT_TRUE(Enumerate(graph, o, &tuned, &run).ok());
+      EXPECT_EQ(run.stats.tuner_rule, static_cast<uint64_t>(rule));
+      EXPECT_EQ(tuned.Digest(), ref.Digest())
+          << TunerRuleName(rule) << " threads=" << threads;
+      EXPECT_EQ(tuned.count(), ref.count());
+    }
+  }
+  EXPECT_EQ(rules.size(), graphs.size()) << "each graph must hit its own row";
 }
 
 }  // namespace

@@ -340,20 +340,6 @@ int main(int argc, char** argv) {
       configs.push_back({"MBET bitmap disabled", o});
     }
     {
-      // Per-candidate classification (the pre-batching code path).
-      Options o;
-      o.mbet.batch_width = 1;
-      configs.push_back({"MBET batch off", o});
-    }
-    {
-      // Widest frontier windows, on top of forced bitmaps so the
-      // and_count_batch kernel runs (not just the trie batch walk).
-      Options o;
-      o.mbet.batch_width = 64;
-      o.mbet.bitmap_density = 0.0;
-      configs.push_back({"MBET batch wide forced bitmap", o});
-    }
-    {
       // Whatever the tuner picks must stay output-identical.
       Options o;
       o.auto_tune = true;
