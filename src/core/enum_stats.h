@@ -25,7 +25,10 @@ struct EnumStats {
   uint64_t candidates_dropped = 0;
   /// Candidate groups absorbed directly into R' (full local neighborhood).
   uint64_t candidates_absorbed = 0;
-  /// Vertices merged away by equivalence-class aggregation.
+  /// Members of groups merged away by equivalence-class aggregation. A
+  /// forbidden (Q) group carries one representative member, so merging
+  /// one away counts 1, however many vertices it stands for; a merged
+  /// candidate group counts all its members.
   uint64_t vertices_aggregated = 0;
   /// Trie nodes visited across all classification passes (the prefix-tree
   /// cost measure).

@@ -1,6 +1,7 @@
 #include "core/mbet.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/fault.h"
 #include "util/memory.h"
@@ -114,6 +115,7 @@ void MbetEnumerator::EnumerateShard(VertexId v, uint32_t shard,
     g.mem_off = static_cast<uint32_t>(lvl.members.size());
     g.mem_len = 1;
     lvl.members.push_back(entry.w);
+    g.min_member = entry.w;
     g.loc_off = static_cast<uint32_t>(lvl.locs.size());
     g.loc_len = entry.loc_len;
     uint64_t hash = 1469598103934665603ULL;
@@ -126,7 +128,7 @@ void MbetEnumerator::EnumerateShard(VertexId v, uint32_t shard,
     g.forbidden = entry.forbidden;
     lvl.groups.push_back(g);
   }
-  SortAndAggregate(&lvl);
+  Aggregate(&lvl);
   if (options_.recompute_locals) lvl.locs.clear();
   lvl.trie_built = false;
 
@@ -158,55 +160,80 @@ void MbetEnumerator::EnumerateShard(VertexId v, uint32_t shard,
   }
 }
 
-void MbetEnumerator::SortAndAggregate(Level* lvl) {
-  if (!options_.use_aggregation || lvl->groups.size() < 2) return;
-  // Cheap surrogate key: equal locals imply equal (size, hash), so equal
-  // groups land adjacent without any lexicographic compares. Group records
-  // are 32 bytes, so the sort moves no heap data.
-  std::sort(lvl->groups.begin(), lvl->groups.end(),
-            [lvl](const Group& a, const Group& b) {
-              if (a.forbidden != b.forbidden) return a.forbidden < b.forbidden;
-              if (a.loc_len != b.loc_len) return a.loc_len < b.loc_len;
-              if (a.loc_hash != b.loc_hash) return a.loc_hash < b.loc_hash;
-              return lvl->members[a.mem_off] < lvl->members[b.mem_off];
-            });
-  auto loc_equal = [lvl](const Group& a, const Group& b) {
-    return a.loc_len == b.loc_len && a.loc_hash == b.loc_hash &&
-           a.forbidden == b.forbidden &&
-           std::equal(lvl->locs.begin() + a.loc_off,
-                      lvl->locs.begin() + a.loc_off + a.loc_len,
-                      lvl->locs.begin() + b.loc_off);
-  };
-  // Collapse each run of equivalent groups in one pass: gather all member
-  // runs into fresh arena space and sort once (the old runs become dead
-  // space, reclaimed when the level is rebuilt).
-  const size_t n = lvl->groups.size();
-  size_t out = 0;
-  for (size_t i = 0; i < n;) {
-    size_t j = i + 1;
-    while (j < n && loc_equal(lvl->groups[i], lvl->groups[j])) ++j;
-    Group rep = lvl->groups[i];
-    if (j > i + 1) {
-      const uint32_t merged_off = static_cast<uint32_t>(lvl->members.size());
-      uint32_t total = 0;
-      for (size_t k = i; k < j; ++k) {
-        const Group& g = lvl->groups[k];
-        total += g.mem_len;
-        // Append by index: iterator-based insert from the same vector
-        // would be invalidated by reallocation.
-        for (uint32_t m = 0; m < g.mem_len; ++m) {
-          lvl->members.push_back(lvl->members[g.mem_off + m]);
-        }
+void MbetEnumerator::Aggregate(Level* lvl) {
+  std::vector<Group>& groups = lvl->groups;
+  const size_t n = groups.size();
+  if (!options_.use_aggregation || n < 2) return;
+  constexpr uint32_t kEnd = ~0u;         // end of a duplicate chain
+  constexpr uint32_t kMerged = ~0u - 1;  // duplicate already folded in
+  const size_t table = std::bit_ceil(2 * n);
+  const int shift = 64 - std::countr_zero(table);
+  agg_slots_.assign(table, 0);
+  agg_next_.assign(n, kEnd);
+
+  // One pass: equal locals imply equal (status, size, hash), so each group
+  // probes for its first occurrence and, when the locals match, chains
+  // itself onto it.
+  const VertexId* locs = lvl->locs.data();
+  for (uint32_t i = 0; i < n; ++i) {
+    const Group& g = groups[i];
+    const uint64_t key = g.loc_hash + 2ULL * g.loc_len + g.forbidden;
+    for (size_t slot = (key * 0x9E3779B97F4A7C15ULL) >> shift;;
+         slot = (slot + 1) & (table - 1)) {
+      const uint32_t first = agg_slots_[slot];
+      if (first == 0) {
+        agg_slots_[slot] = i + 1;
+        break;
       }
-      std::sort(lvl->members.begin() + merged_off, lvl->members.end());
-      stats_.vertices_aggregated += total - rep.mem_len;
-      rep.mem_off = merged_off;
-      rep.mem_len = total;
+      const Group& rep = groups[first - 1];
+      if (rep.forbidden == g.forbidden && rep.loc_len == g.loc_len &&
+          rep.loc_hash == g.loc_hash &&
+          std::equal(locs + rep.loc_off, locs + rep.loc_off + rep.loc_len,
+                     locs + g.loc_off)) {
+        agg_next_[i] = agg_next_[first - 1];
+        agg_next_[first - 1] = i;
+        break;
+      }
     }
-    lvl->groups[out++] = rep;
-    i = j;
   }
-  lvl->groups.resize(out);
+
+  // Compact the first occurrences in order. Chains only run forward, so
+  // every record a chain reads still sits above the write cursor. A merged
+  // candidate group gathers all members into fresh arena space, unsorted
+  // (R' sorts its additions); a merged forbidden group keeps its one
+  // representative. The old runs become dead space until the level is
+  // rebuilt.
+  std::vector<VertexId>& members = lvl->members;
+  auto gather = [&members](const Group& g) {
+    // By index: a reallocation would invalidate iterators into members.
+    for (uint32_t m = 0; m < g.mem_len; ++m) {
+      members.push_back(members[g.mem_off + m]);
+    }
+  };
+  size_t out = 0;
+  for (uint32_t i = 0; i < n; ++i) {
+    if (agg_next_[i] == kMerged) continue;
+    Group rep = groups[i];
+    if (agg_next_[i] != kEnd) {
+      const uint32_t merged_off = static_cast<uint32_t>(members.size());
+      if (!rep.forbidden) gather(rep);
+      for (uint32_t k = agg_next_[i]; k != kEnd;) {
+        const Group& dup = groups[k];
+        stats_.vertices_aggregated += dup.mem_len;
+        rep.min_member = std::min(rep.min_member, dup.min_member);
+        if (!rep.forbidden) gather(dup);
+        const uint32_t next = agg_next_[k];
+        agg_next_[k] = kMerged;
+        k = next;
+      }
+      if (!rep.forbidden) {
+        rep.mem_off = merged_off;
+        rep.mem_len = static_cast<uint32_t>(members.size()) - merged_off;
+      }
+    }
+    groups[out++] = rep;
+  }
+  groups.resize(out);
 }
 
 void MbetEnumerator::Classify(Level& lvl) {
@@ -297,9 +324,15 @@ MbetEnumerator::Level& MbetEnumerator::BuildChild(
     }
     Group c;
     c.forbidden = g.forbidden;
+    c.min_member = g.min_member;
     c.mem_off = static_cast<uint32_t>(child.members.size());
-    c.mem_len = g.mem_len;
-    {
+    if (g.forbidden) {
+      // Q groups are only read for their local (maximality witnesses and
+      // MBETM's recount), which any one member reproduces.
+      c.mem_len = 1;
+      child.members.push_back(lvl.members[g.mem_off]);
+    } else {
+      c.mem_len = g.mem_len;
       auto mem = lvl.MembersOf(g);
       child.members.insert(child.members.end(), mem.begin(), mem.end());
     }
@@ -327,7 +360,7 @@ MbetEnumerator::Level& MbetEnumerator::BuildChild(
     }
     child.groups.push_back(c);
   }
-  SortAndAggregate(&child);
+  Aggregate(&child);
   if (options_.recompute_locals) child.locs.clear();
   child.trie_built = false;
 
@@ -440,7 +473,7 @@ void MbetEnumerator::Recurse(size_t depth, ResultSink* sink) {
     const Group& ga = lvl.groups[a];
     const Group& gb = lvl.groups[b];
     if (ga.loc_len != gb.loc_len) return ga.loc_len < gb.loc_len;
-    return lvl.members[ga.mem_off] < lvl.members[gb.mem_off];
+    return ga.min_member < gb.min_member;
   });
 
   std::vector<VertexId>* absorbed_members = frame.AcquireIds();

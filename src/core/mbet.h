@@ -33,8 +33,10 @@
 ///    surviving candidate, dropped, or maximality witness — in one linear
 ///    pass over the trie, probing shared prefixes once.
 ///  * Per-level state is arena-backed (one flat buffer for all locals, one
-///    for all member lists); groups are plain metadata, so the hot loops
-///    never allocate and group sorting moves 32-byte records.
+///    for all member lists); groups are plain 32-byte metadata records, so
+///    the hot loops never allocate. Aggregation is one hash pass over the
+///    groups (no sorting); a forbidden group keeps a single representative
+///    member, since Q groups are only ever read for their local.
 ///  * Each subtree's vertices are renumbered into the local universe
 ///    [0, |L0|), and nodes the trie does not take classify through
 ///    fixed-width bitmaps when their locals are dense enough
@@ -151,10 +153,14 @@ class MbetEnumerator {
     uint32_t loc_off = 0;   ///< offset into Level::locs
     uint32_t loc_len = 0;   ///< |loc| (valid even in MBETM mode)
     uint32_t mem_off = 0;   ///< offset into Level::members
-    uint32_t mem_len = 0;   ///< number of member vertices (>= 1)
+    uint32_t mem_len = 0;   ///< members stored (>= 1; 1 in a child Q group)
     uint64_t loc_hash = 0;  ///< order-dependent hash of loc
     bool forbidden = false; ///< Q-side group
+    /// Smallest vertex the group stands for (member runs are unsorted;
+    /// the traversal tie-break reads this). Fills the record's padding.
+    VertexId min_member = 0;
   };
+  static_assert(sizeof(Group) == 32, "Group must stay a 32-byte record");
 
   /// Reusable per-depth state (one per recursion level, reused across
   /// siblings).
@@ -208,12 +214,15 @@ class MbetEnumerator {
   Level& BuildChild(size_t depth, uint32_t traversed,
                     std::vector<VertexId>* absorbed_members);
 
-  /// Sorts `lvl`'s groups by the cheap surrogate key (forbidden, |loc|,
-  /// hash) and merges groups with equal locals and equal status. Hash
-  /// collisions only cost a missed merge, never correctness. Requires the
-  /// locs arena to be populated (also in MBETM mode, where the caller
-  /// drops the arena afterwards).
-  void SortAndAggregate(Level* lvl);
+  /// Merges `lvl`'s groups with equal locals and equal status in one pass
+  /// over an open-addressing table keyed on (forbidden, |loc|, hash); the
+  /// locals are compared before a merge, so a hash collision costs one
+  /// probe, never a wrong merge. Survivors keep their first-occurrence
+  /// order. A merged candidate group gathers every member into fresh
+  /// arena space (unsorted); a merged forbidden group keeps its first
+  /// representative. Requires the locs arena to be populated (also in
+  /// MBETM mode, where the caller drops the arena afterwards).
+  void Aggregate(Level* lvl);
 
   /// Emits (l, r), translating `l` from subtree-local ids back to global
   /// vertex ids when the subtree is renumbered.
@@ -232,6 +241,10 @@ class MbetEnumerator {
   std::vector<std::unique_ptr<Level>> levels_;
   SubtreeRoot root_;
   std::vector<VertexId> root_absorbed_;
+  /// Aggregate's scratch, reused across calls: the hash table (group
+  /// index + 1, 0 = empty) and, per group, the next merged duplicate.
+  std::vector<uint32_t> agg_slots_;
+  std::vector<uint32_t> agg_next_;
 
   /// All per-node scratch (bitmap word arenas, absorbed-member buffers)
   /// comes from here; one context per enumerator (= per thread).

@@ -33,6 +33,9 @@ uint64_t NowNs() {
 /// without one the first exception is rethrown to the caller after the
 /// join, so it is never swallowed and never crosses a thread boundary raw.
 struct FailureLatch {
+  explicit FailureLatch(RunController* run_controller)
+      : controller(run_controller) {}
+
   RunController* controller;
   std::atomic<bool> failed{false};
   std::mutex mu;

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "api/mbe.h"
@@ -161,6 +163,67 @@ TEST(CrownTest, AblationsSurviveExponentialFamily) {
       options.mbet.use_aggregation = agg;
       EXPECT_EQ(CountMaximalBicliques(graph, options), expected)
           << "trie=" << trie << " agg=" << agg;
+    }
+  }
+}
+
+/// Crown(n) with every right vertex copied k times (v_j becomes the twin
+/// class {v_{jk}, .., v_{jk+k-1}}). Twins never split a maximal biclique,
+/// so the count stays 2^n − 2 and every R is a union of whole classes:
+/// exactly the classes of the j with u_j ∉ L. With the sides kept as
+/// given, the twins are MBET's candidates, so each class is one
+/// aggregated group — this catches members lost from a merged candidate
+/// run and a wrong forbidden-group representative under MBETM.
+TEST(CrownTest, RightTwinClassesStayWhole) {
+  const VertexId n = 8, k = 3;
+  std::vector<Edge> edges;
+  for (VertexId u = 0; u < n; ++u) {
+    for (VertexId v = 0; v < n; ++v) {
+      if (u == v) continue;
+      for (VertexId t = 0; t < k; ++t) edges.push_back({u, v * k + t});
+    }
+  }
+  BipartiteGraph graph = BipartiteGraph::FromEdges(n, n * k, edges);
+
+  std::vector<Options> configs;
+  for (Algorithm algorithm : kAll) {
+    Options options;
+    options.algorithm = algorithm;
+    if (algorithm == Algorithm::kOombeaLite) {
+      options.order = VertexOrder::kUnilateralAsc;
+    }
+    configs.push_back(options);
+  }
+  Options no_aggregation;
+  no_aggregation.mbet.use_aggregation = false;
+  configs.push_back(no_aggregation);
+
+  for (Options options : configs) {
+    options.auto_swap_sides = false;  // keep the twins on the right side
+    for (unsigned threads : {1u, 4u}) {
+      options.threads = threads;
+      CollectSink sink;
+      RunResult run;
+      ASSERT_TRUE(Enumerate(graph, options, &sink, &run).ok());
+      const std::string label =
+          std::string(AlgorithmName(options.algorithm)) +
+          " agg=" + (options.mbet.use_aggregation ? "on" : "off") +
+          " threads=" + std::to_string(threads);
+      const std::vector<Biclique> results = sink.TakeSorted();
+      EXPECT_EQ(results.size(), (1ull << n) - 2) << label;
+      const bool mbet_family = options.algorithm == Algorithm::kMbet ||
+                               options.algorithm == Algorithm::kMbetM;
+      if (mbet_family && options.mbet.use_aggregation) {
+        EXPECT_GT(run.stats.vertices_aggregated, 0u) << label;
+      }
+      for (const Biclique& b : results) {
+        std::vector<VertexId> expected;
+        for (VertexId j = 0; j < n; ++j) {
+          if (std::binary_search(b.left.begin(), b.left.end(), j)) continue;
+          for (VertexId t = 0; t < k; ++t) expected.push_back(j * k + t);
+        }
+        ASSERT_EQ(b.right, expected) << label;  // so |R| is a multiple of k
+      }
     }
   }
 }

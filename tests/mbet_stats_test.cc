@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "api/mbe.h"
 #include "core/mbet.h"
 #include "core/verify.h"
@@ -192,6 +194,74 @@ TEST(MbetStatsTest, CandidatesClassifiedPerCandidateOnly) {
           << "threads=" << threads << " tune=" << tune;
       EXPECT_EQ(run.stats.simd_batch_calls, 0u)
           << "threads=" << threads << " tune=" << tune;
+    }
+  }
+}
+
+/// Folds the emission stream in arrival order: unlike FingerprintSink's
+/// commutative digest, a reordering of the same bicliques changes it.
+class OrderHashSink : public ResultSink {
+ public:
+  void Emit(std::span<const VertexId> left,
+            std::span<const VertexId> right) override {
+    for (VertexId x : left) Mix(x);
+    Mix(0xFFFFFFFFu);
+    for (VertexId x : right) Mix(x);
+    Mix(0xFFFFFFFEu);
+    ++count_;
+  }
+  uint64_t hash() const { return hash_; }
+  uint64_t count() const { return count_; }
+
+ private:
+  void Mix(uint64_t x) { hash_ = (hash_ ^ (x + 1)) * 1099511628211ULL; }
+  uint64_t hash_ = 1469598103934665603ULL;
+  uint64_t count_ = 0;
+};
+
+/// `graph` with every right vertex copied `k` times (right id v becomes
+/// the twins v*k .. v*k + k - 1, all with N(v)).
+BipartiteGraph WithRightTwins(const BipartiteGraph& graph, VertexId k) {
+  std::vector<Edge> edges;
+  for (VertexId v = 0; v < graph.num_right(); ++v) {
+    for (VertexId u : graph.RightNeighbors(v)) {
+      for (VertexId t = 0; t < k; ++t) edges.push_back({u, v * k + t});
+    }
+  }
+  return BipartiteGraph::FromEdges(graph.num_left(), graph.num_right() * k,
+                                   edges);
+}
+
+TEST(MbetStatsTest, SingleThreadEmissionOrderIsPinned) {
+  // The single-threaded emission order follows the candidate traversal
+  // order (ascending |loc|, ties by smallest member). A digest cannot see
+  // a drifting tie-break; this order-sensitive hash can. The twin graph
+  // makes most groups multi-member, so the tie-break has to find the
+  // smallest member of a merged group.
+  struct Case {
+    const char* name;
+    BipartiteGraph graph;
+    uint64_t count;
+    uint64_t hash;
+  };
+  const Case cases[] = {
+      {"powerlaw", Workload(), 1574u, 0x7e31f9aa7f35fec5ULL},
+      {"hub-twins",
+       WithRightTwins(gen::HubBlock(30, 20, 30, 40, 0.4, 0.05, 7), 2), 504u,
+       0x97ca3d0f23e6145fULL},
+  };
+  for (const Case& c : cases) {
+    for (bool recompute : {false, true}) {
+      MbetOptions options;
+      options.recompute_locals = recompute;
+      OrderHashSink sink;
+      MbetEnumerator engine(c.graph, options);
+      engine.EnumerateAll(&sink);
+      EXPECT_GT(engine.stats().vertices_aggregated, 0u) << c.name;
+      EXPECT_EQ(sink.count(), c.count) << c.name << " mbetm=" << recompute;
+      EXPECT_EQ(sink.hash(), c.hash)
+          << c.name << " mbetm=" << recompute << std::hex << " got 0x"
+          << sink.hash();
     }
   }
 }
