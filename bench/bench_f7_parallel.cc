@@ -1,11 +1,9 @@
-// F7 — parallel speedup: MBET under 1..N threads with dynamic
-// (shared-counter) vs static (pre-partitioned) vs stealing (per-worker
-// deques + subtree splitting) scheduling, plus parallel iMBEA (the ParMBE
-// stand-in). Expected shape: near-linear dynamic/stealing speedup to the
-// core count; static partitioning stalls on skewed datasets because one
-// block holds the giant subtrees; stealing additionally splits those giant
-// subtrees, which dynamic cannot (visible in the counters table and in the
-// worker busy share even when wall-clock parallelism is unavailable).
+// F7 — parallel speedup: MBET and parallel iMBEA (the ParMBE stand-in)
+// under 1..N threads on the work-stealing runtime (per-worker deques +
+// subtree splitting). Expected shape: near-linear speedup to the core
+// count; on skewed datasets the giant subtrees are split rather than
+// serializing the tail (visible in the counters table and in the worker
+// busy share even when wall-clock parallelism is unavailable).
 
 #include <cstdio>
 #include <string>
@@ -53,7 +51,7 @@ int main(int argc, char** argv) {
   if (hw > 8) thread_counts.push_back(hw);
   const unsigned max_threads = thread_counts.back();
 
-  bench::PrintBanner("F7", "parallel speedup and scheduling discipline");
+  bench::PrintBanner("F7", "parallel speedup on the work-stealing runtime");
   std::vector<std::string> headers = {"dataset", "config"};
   for (unsigned t : thread_counts) headers.push_back("T=" + std::to_string(t));
   bench::Table table(headers);
@@ -66,14 +64,10 @@ int main(int argc, char** argv) {
   struct Config {
     const char* label;
     Algorithm algorithm;
-    Scheduling scheduling;
   };
   const Config configs[] = {
-      {"MBET dynamic", Algorithm::kMbet, Scheduling::kDynamic},
-      {"MBET static", Algorithm::kMbet, Scheduling::kStatic},
-      {"MBET stealing", Algorithm::kMbet, Scheduling::kStealing},
-      {"ParMBE (iMBEA)", Algorithm::kImbea, Scheduling::kDynamic},
-      {"ParMBE stealing", Algorithm::kImbea, Scheduling::kStealing},
+      {"MBET stealing", Algorithm::kMbet},
+      {"ParMBE stealing", Algorithm::kImbea},
   };
 
   std::vector<JsonRow> timing_rows;
@@ -87,7 +81,6 @@ int main(int argc, char** argv) {
         Options options;
         options.algorithm = config.algorithm;
         options.threads = threads;
-        options.scheduling = config.scheduling;
         bench::RunOutcome run = bench::TimedRun(graph, options, budget);
         const std::string cell = bench::TimeCell(run, budget);
         row.push_back(cell);
@@ -138,9 +131,7 @@ int main(int argc, char** argv) {
         "On hosts with fewer cores than the thread count (see num_cpus), "
         "workers time-slice and wall-clock speedup is not observable: "
         "multi-thread timings then measure scheduling overhead only, and "
-        "the scheduler counters are the scalability signal. Stealing wall "
-        "times within ~20% of dynamic bound the runtime overhead of the "
-        "deques + splitting + buffered sinks.");
+        "the scheduler counters are the scalability signal.");
     std::fprintf(out, ",\n  \"thread_counts\": [");
     for (size_t i = 0; i < thread_counts.size(); ++i) {
       std::fprintf(out, "%s%u", i ? ", " : "", thread_counts[i]);

@@ -512,7 +512,7 @@ echo "=== ThreadSanitizer leg: work-stealing deque + parallel driver ==="
 # TSan can verify the protocol. Build the concurrency-relevant tests with
 # -fsanitize=thread (mutually exclusive with ASan, hence a separate tree)
 # and run the deque stress tests plus the parallel, run-control, and sink
-# suites under it.
+# suites under it, and the session pool's Submit-against-Shutdown race.
 TSAN_DIR="$BUILD_DIR-tsan"
 TSAN_FLAGS="-fsanitize=thread -fno-sanitize-recover=all"
 cmake -B "$TSAN_DIR" -S . \
@@ -520,9 +520,9 @@ cmake -B "$TSAN_DIR" -S . \
   -DCMAKE_CXX_FLAGS="$TSAN_FLAGS" \
   -DCMAKE_EXE_LINKER_FLAGS="$TSAN_FLAGS"
 cmake --build "$TSAN_DIR" -j "$(nproc)" --target \
-  work_stealing_test parallel_test run_control_test sink_test
+  work_stealing_test parallel_test run_control_test sink_test serve_test
 ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$(nproc)" \
-  -R 'TaskDeque|TaskEncoding|WorkStealing|Scheduling|Stealing|ThreadPool|ParallelEnumerate|RunControl|RunController|ControlledSink|BufferedSink|BudgetSink|CountSink|FingerprintSink'
+  -R 'TaskDeque|TaskEncoding|WorkStealing|Scheduling|Stealing|ParallelEnumerate|RunControl|RunController|ControlledSink|BufferedSink|BudgetSink|CountSink|FingerprintSink|SessionPoolSubmit'
 echo "tsan leg OK"
 
 echo "=== all checks passed ==="

@@ -26,7 +26,6 @@ RunOptions Options::run_options() const {
   RunOptions run;
   run.algorithm = algorithm;
   run.threads = threads;
-  run.scheduling = scheduling;
   run.max_split = max_split;
   run.mbet = mbet;
   run.auto_tune = auto_tune;

@@ -12,7 +12,6 @@
 #include "core/sink.h"
 #include "graph/bipartite_graph.h"
 #include "graph/ordering.h"
-#include "parallel/thread_pool.h"
 #include "util/status.h"
 
 /// \file
@@ -86,11 +85,9 @@ struct Options {
   /// Worker threads. >1 uses the per-vertex subtree decomposition, which
   /// is supported by every algorithm except kMineLmbc.
   unsigned threads = 1;
-  Scheduling scheduling = Scheduling::kStealing;
 
-  /// Maximum shards a heavy subtree is split into under kStealing (1
-  /// disables subtree splitting; ignored by the other disciplines). See
-  /// docs/PARALLELISM.md.
+  /// Maximum shards a heavy subtree is split into (1 disables subtree
+  /// splitting). See docs/PARALLELISM.md.
   uint32_t max_split = 8;
 
   /// Ablation switches forwarded to MBET (trie / aggregation / Q pruning),
@@ -141,7 +138,7 @@ struct Options {
   /// `checkpoint.path` persists the task frontier there periodically and
   /// at drain, `checkpoint.resume` picks a previous snapshot back up, and
   /// the shard fields restrict the process to one hash shard of the seed
-  /// space. Requires kStealing and a parallel-capable algorithm.
+  /// space. Requires a parallel-capable algorithm.
   snapshot::CheckpointOptions checkpoint;
 
   /// The preprocessing half: what `Engine::Build` consumes. Core

@@ -126,11 +126,6 @@ util::Status RunOptions::Validate() const {
           " does not support the per-vertex subtree decomposition, which "
           "checkpointing is built on");
     }
-    if (scheduling != Scheduling::kStealing) {
-      return util::Status::InvalidArgument(
-          "checkpointing requires scheduling == kStealing (the task "
-          "frontier records the stealing scheduler's task lifecycle)");
-    }
     if (!(checkpoint.every_s >= 0)) {  // negatives and NaN
       return util::Status::InvalidArgument(
           "checkpoint.every_s must be >= 0 (0 = final snapshot only)");

@@ -7,7 +7,6 @@
 #include "core/mbet.h"
 #include "core/run_control.h"
 #include "graph/ordering.h"
-#include "parallel/thread_pool.h"
 #include "snapshot/checkpoint.h"
 #include "util/status.h"
 
@@ -94,6 +93,12 @@ struct GraphOptions {
   util::Status Validate() const;
 };
 
+/// How a standalone parallel run distributes subtrees over workers. The
+/// work-stealing runtime (parallel/parallel_mbe.h) is the only one; this
+/// type and RunOptions::scheduling stay only because the benchmark
+/// (perfbench/workloads.cc) still sets them.
+enum class Scheduling { kStealing };
+
 /// Per-query run configuration, owned by `mbe::Session`.
 struct RunOptions {
   Algorithm algorithm = Algorithm::kMbet;
@@ -105,9 +110,8 @@ struct RunOptions {
   unsigned threads = 1;
   Scheduling scheduling = Scheduling::kStealing;
 
-  /// Maximum shards a heavy subtree is split into under kStealing (1
-  /// disables subtree splitting; ignored by the other disciplines). See
-  /// docs/PARALLELISM.md.
+  /// Maximum shards a heavy subtree is split into (1 disables subtree
+  /// splitting). See docs/PARALLELISM.md.
   uint32_t max_split = 8;
 
   /// Ablation switches forwarded to MBET (trie / aggregation / Q pruning),
@@ -149,9 +153,9 @@ struct RunOptions {
   /// persisted there periodically and at drain, `checkpoint.resume` picks
   /// a previous snapshot back up (completed subtrees are never re-run),
   /// and `checkpoint.shard_index / shard_count` restrict this process to
-  /// its hash shard of the seed space for multi-process runs. Requires
-  /// Scheduling::kStealing and a parallel-capable algorithm (threads may
-  /// still be 1 — durability and parallelism are orthogonal).
+  /// its hash shard of the seed space for multi-process runs. Requires a
+  /// parallel-capable algorithm (threads may still be 1 — durability and
+  /// parallelism are orthogonal).
   snapshot::CheckpointOptions checkpoint;
 
   /// Checks the options for internal consistency: thread count, parallel

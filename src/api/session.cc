@@ -499,7 +499,6 @@ util::Status Session::Run(ResultSink* sink, RunResult* result) {
     if (options_.threads > 1 || frontier != nullptr) {
       ParallelOptions popts;
       popts.threads = options_.threads;
-      popts.scheduling = options_.scheduling;
       popts.controller = ctrl;
       popts.budget = &budget_;
       popts.max_split = effective_max_split_;

@@ -10,7 +10,7 @@ MbeaEnumerator::MbeaEnumerator(const BipartiteGraph& graph,
     : graph_(graph),
       options_(options),
       l_mask_(graph.num_left()),
-      builder_(graph) {}
+      roots_(graph) {}
 
 void MbeaEnumerator::EnumerateAll(ResultSink* sink) {
   if (graph_.num_left() == 0 || graph_.num_right() == 0) return;
@@ -35,40 +35,39 @@ void MbeaEnumerator::EnumerateSubtree(VertexId v, ResultSink* sink) {
 
 uint32_t MbeaEnumerator::SplitHint(VertexId v, uint32_t max_shards,
                                    uint64_t min_work) {
-  if (max_shards <= 1) return 1;
-  bool pruned = false;
-  if (!builder_.Build(v, &root_, &root_absorbed_, &pruned)) return 1;
-  return SplitShards(root_, max_shards, min_work);
+  return roots_.SplitHint(v, max_shards, min_work);
 }
 
 void MbeaEnumerator::EnumerateShard(VertexId v, uint32_t shard,
                                     uint32_t num_shards, ResultSink* sink) {
   PMBE_DCHECK(num_shards >= 1 && shard < num_shards);
+  const bool claimed = roots_.Claim(v);
   if (Stopped(sink)) return;
   bool pruned = false;
-  if (!builder_.Build(v, &root_, &root_absorbed_, &pruned)) {
+  if (!roots_.Build(v, claimed, &pruned)) {
     if (pruned) ++stats_.subtrees_pruned;
     return;
   }
+  const SubtreeRoot& root = roots_.root();
   EnumContext::Frame frame(&ctx_);
   std::vector<VertexId>& r = *frame.AcquireIds();
   r.push_back(v);
-  r.insert(r.end(), root_absorbed_.begin(), root_absorbed_.end());
+  r.insert(r.end(), roots_.absorbed().begin(), roots_.absorbed().end());
   std::sort(r.begin(), r.end());
 
   std::vector<VertexId>& cands = *frame.AcquireIds();
   std::vector<VertexId>& q = *frame.AcquireIds();
-  for (const RootEntry& entry : root_.entries) {
+  for (const RootEntry& entry : root.entries) {
     (entry.forbidden ? q : cands).push_back(entry.w);
   }
-  // The subtree root biclique belongs to shard 0; every shard rebuilds the
-  // root state it expands from.
+  // The subtree root biclique belongs to shard 0; every shard expands from
+  // this same root state.
   if (shard == 0) {
-    sink->Emit(root_.l0, r);
+    sink->Emit(root.l0, r);
     ++stats_.maximal;
   }
   if (!cands.empty()) {
-    Expand(root_.l0, r, cands, q, sink, shard, num_shards);
+    Expand(root.l0, r, cands, q, sink, shard, num_shards);
   }
   if (ctx_.peak_bytes() > stats_.arena_peak_bytes) {
     stats_.arena_peak_bytes = ctx_.peak_bytes();

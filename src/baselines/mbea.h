@@ -85,9 +85,7 @@ class MbeaEnumerator {
   EnumStats stats_;
   RunPoller poller_;
   MembershipMask l_mask_;
-  SubtreeBuilder builder_;
-  SubtreeRoot root_;
-  std::vector<VertexId> root_absorbed_;
+  SubtreeRootCache roots_;
   EnumContext ctx_;  ///< per-node scratch pool (checkpoint/rewind per depth)
 };
 

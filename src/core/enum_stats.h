@@ -70,7 +70,7 @@ struct EnumStats {
   /// bytes. NOT additive: merged via max (workers' arenas coexist, but
   /// the per-thread peak is the capacity-planning number).
   uint64_t arena_peak_bytes = 0;
-  /// Tasks taken from another worker's deque (Scheduling::kStealing only).
+  /// Tasks taken from another worker's deque (parallel runs only).
   uint64_t steals = 0;
   /// Shard tasks produced by splitting heavy subtrees (counts every shard
   /// of a split subtree, including the one the splitter runs itself).

@@ -12,7 +12,7 @@ MbetEnumerator::MbetEnumerator(const BipartiteGraph& graph,
                                const MbetOptions& options)
     : graph_(graph),
       options_(options),
-      builder_(graph),
+      roots_(graph),
       lp_mask_(graph.num_left()),
       ctx_(options.memory) {
   // MBETM stores no local lists, so there is nothing to build a trie over,
@@ -44,11 +44,11 @@ void MbetEnumerator::EmitBiclique(std::span<const VertexId> l,
                                   std::span<const VertexId> r,
                                   ResultSink* sink) {
   if (renumber_) {
-    // Local ids are positions in the sorted root_.l0, so the translated
+    // Local ids are positions in the sorted root l0, so the translated
     // list is ascending without a sort.
     emit_l_.clear();
     emit_l_.reserve(l.size());
-    for (VertexId x : l) emit_l_.push_back(root_.l0[x]);
+    for (VertexId x : l) emit_l_.push_back(roots_.root().l0[x]);
     sink->Emit(emit_l_, r);
   } else {
     sink->Emit(l, r);
@@ -62,29 +62,28 @@ void MbetEnumerator::EnumerateSubtree(VertexId v, ResultSink* sink) {
 
 uint32_t MbetEnumerator::SplitHint(VertexId v, uint32_t max_shards,
                                    uint64_t min_work) {
-  if (max_shards <= 1) return 1;
   if (graph_.RightDegree(v) < options_.min_left) return 1;
-  bool pruned = false;
-  if (!builder_.Build(v, &root_, &root_absorbed_, &pruned)) return 1;
-  return SplitShards(root_, max_shards, min_work);
+  return roots_.SplitHint(v, max_shards, min_work);
 }
 
 void MbetEnumerator::EnumerateShard(VertexId v, uint32_t shard,
                                     uint32_t num_shards, ResultSink* sink) {
   PMBE_DCHECK(num_shards >= 1 && shard < num_shards);
+  const bool claimed = roots_.Claim(v);
   shard_ = shard;
   num_shards_ = num_shards;
   if (Stopped(sink)) return;
   // Size filter: every biclique of this subtree has L ⊆ N(v).
   if (graph_.RightDegree(v) < options_.min_left) return;
   bool pruned = false;
-  if (!builder_.Build(v, &root_, &root_absorbed_, &pruned)) {
+  if (!roots_.Build(v, claimed, &pruned)) {
     if (pruned) ++stats_.subtrees_pruned;
     return;
   }
+  const SubtreeRoot& root = roots_.root();
 
   Level& lvl = LevelAt(0);
-  local_universe_ = root_.l0.size();
+  local_universe_ = root.l0.size();
   if (renumber_) {
     // Renumber this subtree's left vertices into [0, |L0|): position in
     // the sorted l0 is the local id, so sorted global locals map to
@@ -92,25 +91,26 @@ void MbetEnumerator::EnumerateShard(VertexId v, uint32_t shard,
     if (local_id_.size() < graph_.num_left()) {
       local_id_.resize(graph_.num_left(), 0);
     }
-    for (size_t i = 0; i < root_.l0.size(); ++i) {
-      local_id_[root_.l0[i]] = static_cast<VertexId>(i);
+    for (size_t i = 0; i < root.l0.size(); ++i) {
+      local_id_[root.l0[i]] = static_cast<VertexId>(i);
     }
     lvl.l.resize(local_universe_);
     for (size_t i = 0; i < local_universe_; ++i) {
       lvl.l[i] = static_cast<VertexId>(i);
     }
   } else {
-    lvl.l = root_.l0;
+    lvl.l = root.l0;
   }
   lvl.r.clear();
   lvl.r.push_back(v);
-  lvl.r.insert(lvl.r.end(), root_absorbed_.begin(), root_absorbed_.end());
+  lvl.r.insert(lvl.r.end(), roots_.absorbed().begin(),
+               roots_.absorbed().end());
   std::sort(lvl.r.begin(), lvl.r.end());
 
   lvl.groups.clear();
   lvl.locs.clear();
   lvl.members.clear();
-  for (const RootEntry& entry : root_.entries) {
+  for (const RootEntry& entry : root.entries) {
     Group g;
     g.mem_off = static_cast<uint32_t>(lvl.members.size());
     g.mem_len = 1;
@@ -119,7 +119,7 @@ void MbetEnumerator::EnumerateShard(VertexId v, uint32_t shard,
     g.loc_off = static_cast<uint32_t>(lvl.locs.size());
     g.loc_len = entry.loc_len;
     uint64_t hash = 1469598103934665603ULL;
-    for (VertexId x : root_.LocOf(entry)) {
+    for (VertexId x : root.LocOf(entry)) {
       const VertexId id = renumber_ ? local_id_[x] : x;
       lvl.locs.push_back(id);
       hash = (hash ^ (id + 1ULL)) * 1099511628211ULL;
@@ -135,7 +135,7 @@ void MbetEnumerator::EnumerateShard(VertexId v, uint32_t shard,
   // The subtree root biclique (N(v), {v} ∪ absorbed) is maximal by
   // construction: domination by an earlier vertex was excluded by the
   // builder, and all dominating later vertices were absorbed. Under a
-  // split it belongs to shard 0 (every shard rebuilds this root).
+  // split it belongs to shard 0 (every shard starts from this root).
   if (shard_ == 0 && lvl.r.size() >= options_.min_right) {
     EmitBiclique(lvl.l, lvl.r, sink);
   }

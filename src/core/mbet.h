@@ -121,8 +121,9 @@ class MbetEnumerator {
   /// root build and depth-0 scan every shard re-pays. Shards are sized to
   /// carry at least `min_work` ns of predicted time each; capped at
   /// `max_shards` and the candidate count.
-  /// Builds the root once as a side effect (into the enumerator's scratch);
-  /// EnumerateShard rebuilds it, so the hint stays stateless to callers.
+  /// Builds the root as a side effect and keeps it for the EnumerateShard
+  /// of the same v that follows (SubtreeRootCache), which then skips its
+  /// own build; any other call discards it.
   uint32_t SplitHint(VertexId v, uint32_t max_shards, uint64_t min_work);
 
   /// Enumerates shard `shard` of `num_shards` of subtree(v): the root
@@ -236,11 +237,9 @@ class MbetEnumerator {
   MbetOptions options_;
   EnumStats stats_;
   RunPoller poller_;
-  SubtreeBuilder builder_;
+  SubtreeRootCache roots_;
   MembershipMask lp_mask_;  ///< membership of the current L' over U
   std::vector<std::unique_ptr<Level>> levels_;
-  SubtreeRoot root_;
-  std::vector<VertexId> root_absorbed_;
   /// Aggregate's scratch, reused across calls: the hash table (group
   /// index + 1, 0 = empty) and, per group, the next merged duplicate.
   std::vector<uint32_t> agg_slots_;

@@ -59,6 +59,34 @@ bool SubtreeBuilder::Build(VertexId v, SubtreeRoot* root,
   return true;
 }
 
+SubtreeRootCache::SubtreeRootCache(const BipartiteGraph& graph)
+    : builder_(graph) {}
+
+uint32_t SubtreeRootCache::SplitHint(VertexId v, uint32_t max_shards,
+                                     uint64_t min_work) {
+  kept_ = kInvalidVertex;
+  if (max_shards <= 1) return 1;
+  kept_built_ = builder_.Build(v, &root_, &absorbed_, &kept_pruned_);
+  kept_ = v;
+  if (!kept_built_) return 1;
+  return SplitShards(root_, max_shards, min_work);
+}
+
+bool SubtreeRootCache::Claim(VertexId v) {
+  const bool claimed = kept_ == v;
+  kept_ = kInvalidVertex;
+  return claimed;
+}
+
+bool SubtreeRootCache::Build(VertexId v, bool claimed, bool* pruned) {
+  if (claimed) {
+    PMBE_DCHECK(root_.seed == v);
+    *pruned = kept_pruned_;
+    return kept_built_;
+  }
+  return builder_.Build(v, &root_, &absorbed_, pruned);
+}
+
 namespace {
 
 // Subtree cost model (EstimateSubtreeWork). A least-squares fit of log
@@ -121,15 +149,16 @@ uint64_t EstimateSubtreeWork(const SubtreeRoot& root) {
 uint32_t SplitShards(const SubtreeRoot& root, uint32_t max_shards,
                      uint64_t min_work) {
   const RootShape shape = ShapeOf(root);
-  const uint64_t work = Estimate(root, shape);
-  if (work < min_work) return 1;
   // Shallow-wide subtrees (small min side, long candidate list) are
   // dominated by the depth-0 classification pass, which every shard
   // re-pays in full: splitting them multiplies their dominant cost
-  // instead of dividing it.
+  // instead of dividing it. Checked before the estimate: it rules out
+  // most subtrees without the estimate's transcendental calls.
   if (std::min<uint64_t>(root.l0.size(), shape.candidates) < kMinSplitSide) {
     return 1;
   }
+  const uint64_t work = Estimate(root, shape);
+  if (work < min_work) return 1;
   // Every shard re-pays the root build, so shards must each carry at least
   // min_work of predicted time: k = work / min_work, capped by the shard
   // limit and by the candidate count (aggregation at depth 0 can merge

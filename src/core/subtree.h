@@ -74,6 +74,42 @@ class SubtreeBuilder {
   MembershipMask l_mask_;
 };
 
+/// One engine's subtree root: a SubtreeBuilder, the root it last built, and
+/// the split hint that MBET, BBK and the MBEA family share. The work-stealing
+/// scheduler asks an engine for SplitHint(v) at task pickup and then runs
+/// EnumerateShard(v, ...) on the same engine; the root the hint built is
+/// kept for exactly that call, so a pickup builds subtree(v)'s root once.
+class SubtreeRootCache {
+ public:
+  explicit SubtreeRootCache(const BipartiteGraph& graph);
+
+  /// SplitShards over subtree(v)'s root; 1 without building when
+  /// `max_shards` <= 1, and 1 when the subtree is empty or pruned. Keeps
+  /// the built root, and Build's outcome, for the next Claim(v).
+  uint32_t SplitHint(VertexId v, uint32_t max_shards, uint64_t min_work);
+
+  /// Call at every EnumerateShard entry. Returns whether the kept root is
+  /// subtree(v)'s, and forgets it either way: a kept root serves only the
+  /// one task that follows its hint, and never another seed's task.
+  bool Claim(VertexId v);
+
+  /// Makes root()/absorbed() subtree(v)'s root, with SubtreeBuilder::Build's
+  /// contract. `claimed` is Claim(v)'s result: when true, the root
+  /// SplitHint(v) kept is reused instead of built again.
+  bool Build(VertexId v, bool claimed, bool* pruned);
+
+  const SubtreeRoot& root() const { return root_; }
+  const std::vector<VertexId>& absorbed() const { return absorbed_; }
+
+ private:
+  SubtreeBuilder builder_;
+  SubtreeRoot root_;
+  std::vector<VertexId> absorbed_;
+  VertexId kept_ = kInvalidVertex;  ///< seed whose hint root is kept
+  bool kept_built_ = false;         ///< Build's result for kept_
+  bool kept_pruned_ = false;        ///< Build's *pruned for kept_
+};
+
 /// Predicted single-thread enumeration time of the subtree rooted at
 /// `root`, in nanoseconds; 0 for an empty root. A cost model fitted to
 /// per-subtree timings (see subtree.cc for the fit):

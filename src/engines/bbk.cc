@@ -12,7 +12,7 @@ BbkEnumerator::BbkEnumerator(const BipartiteGraph& graph,
     : graph_(graph),
       options_(options),
       policy_{.bitmap_density = options.bitmap_density},
-      builder_(graph) {}
+      roots_(graph) {}
 
 void BbkEnumerator::EnumerateAll(ResultSink* sink) {
   for (size_t v = 0; v < graph_.num_right(); ++v) {
@@ -27,35 +27,32 @@ void BbkEnumerator::EnumerateSubtree(VertexId v, ResultSink* sink) {
 
 uint32_t BbkEnumerator::SplitHint(VertexId v, uint32_t max_shards,
                                   uint64_t min_work) {
-  if (max_shards <= 1) return 1;
-  bool pruned = false;
-  if (!builder_.Build(v, &root_, &root_absorbed_, &pruned)) return 1;
-  return SplitShards(root_, max_shards, min_work);
+  return roots_.SplitHint(v, max_shards, min_work);
 }
 
-bool BbkEnumerator::BuildRootState(VertexId v, bool* pruned) {
-  if (!builder_.Build(v, &root_, &root_absorbed_, pruned)) return false;
-  universe_ = root_.l0.size();
+void BbkEnumerator::RenumberRoot() {
+  const SubtreeRoot& root = roots_.root();
+  universe_ = root.l0.size();
   if (local_of_.size() < graph_.num_left()) {
     local_of_.resize(graph_.num_left());
   }
   // Local ids are positions in the sorted L0, so renumbering preserves
   // order: every renumbered local list below stays sorted.
   for (size_t i = 0; i < universe_; ++i) {
-    local_of_[root_.l0[i]] = static_cast<VertexId>(i);
+    local_of_[root.l0[i]] = static_cast<VertexId>(i);
   }
   entry_w_.clear();
   entry_loc_off_.clear();
   entry_loc_len_.clear();
   locs_.clear();
-  locs_.reserve(root_.locs.size());
+  locs_.reserve(root.locs.size());
   order_keys_.clear();
-  for (const RootEntry& entry : root_.entries) {
+  for (const RootEntry& entry : root.entries) {
     const uint32_t idx = static_cast<uint32_t>(entry_w_.size());
     entry_w_.push_back(entry.w);
     entry_loc_off_.push_back(static_cast<uint32_t>(locs_.size()));
     entry_loc_len_.push_back(entry.loc_len);
-    for (VertexId g : root_.LocOf(entry)) locs_.push_back(local_of_[g]);
+    for (VertexId g : root.LocOf(entry)) locs_.push_back(local_of_[g]);
     if (entry.forbidden) {
       // Root Q ordered by descending local size: a dominator must cover
       // all of L', so big-neighborhood witnesses are the likely hits and
@@ -80,22 +77,23 @@ bool BbkEnumerator::BuildRootState(VertexId v, bool* pruned) {
     forbidden_.push_back(static_cast<VertexId>(*it & 0xffffffffu));
   }
   order_keys_.erase(split, order_keys_.end());
-  return true;
 }
 
 void BbkEnumerator::EnumerateShard(VertexId v, uint32_t shard,
                                    uint32_t num_shards, ResultSink* sink) {
   PMBE_DCHECK(num_shards >= 1 && shard < num_shards);
+  const bool claimed = roots_.Claim(v);
   if (Stopped(sink)) return;
   bool pruned = false;
-  if (!BuildRootState(v, &pruned)) {
+  if (!roots_.Build(v, claimed, &pruned)) {
     if (pruned) ++stats_.subtrees_pruned;
     return;
   }
+  RenumberRoot();
   EnumContext::Frame frame(&ctx_);
   std::vector<VertexId>& r = *frame.AcquireIds();
   r.push_back(v);
-  r.insert(r.end(), root_absorbed_.begin(), root_absorbed_.end());
+  r.insert(r.end(), roots_.absorbed().begin(), roots_.absorbed().end());
   std::sort(r.begin(), r.end());
 
   std::vector<VertexId>& cands = *frame.AcquireIds();
@@ -106,10 +104,10 @@ void BbkEnumerator::EnumerateShard(VertexId v, uint32_t shard,
   std::vector<VertexId>& q = *frame.AcquireIds();
   q.assign(forbidden_.begin(), forbidden_.end());
 
-  // The subtree root biclique belongs to shard 0; every shard rebuilds the
-  // root state it expands from.
+  // The subtree root biclique belongs to shard 0; every shard expands from
+  // this same root state.
   if (shard == 0) {
-    sink->Emit(root_.l0, r);
+    sink->Emit(roots_.root().l0, r);
     ++stats_.maximal;
   }
   if (!cands.empty()) {
@@ -236,7 +234,7 @@ void BbkEnumerator::Expand(const std::vector<VertexId>& l,
       // the mapped list is already sorted).
       lg.clear();
       lg.reserve(lp.size());
-      for (VertexId x : lp) lg.push_back(root_.l0[x]);
+      for (VertexId x : lp) lg.push_back(roots_.root().l0[x]);
       sink->Emit(lg, rp);
       ++stats_.maximal;
       if (!cp.empty()) Expand(lp, lpw, rp, cp, qp, sink);

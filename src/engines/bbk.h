@@ -89,11 +89,10 @@ class BbkEnumerator {
   }
 
  private:
-  /// Builds the root of subtree(v), renumbers every entry local into
+  /// Renumbers every entry local of the current root (roots_.root()) into
   /// [0, |L0|), and fixes the degree-ascending candidate order plus the
-  /// witness-descending root Q order. Returns false when the subtree is
-  /// empty or pruned (`*pruned` distinguishes).
-  bool BuildRootState(VertexId v, bool* pruned);
+  /// witness-descending root Q order.
+  void RenumberRoot();
 
   /// The renumbered local neighborhood loc0(entry), sorted.
   std::span<const VertexId> LocalOf(uint32_t entry) const {
@@ -121,11 +120,9 @@ class BbkEnumerator {
   VertexSetPolicy policy_;
   EnumStats stats_;
   RunPoller poller_;
-  SubtreeBuilder builder_;
-  SubtreeRoot root_;
-  std::vector<VertexId> root_absorbed_;
+  SubtreeRootCache roots_;
 
-  /// Per-subtree root state (rebuilt by BuildRootState, capacity reused).
+  /// Per-subtree root state (rebuilt by RenumberRoot, capacity reused).
   size_t universe_ = 0;             ///< |L0| of the current subtree
   std::vector<VertexId> local_of_;  ///< global left id -> local id
   std::vector<VertexId> entry_w_;   ///< entry -> global right id

@@ -63,15 +63,14 @@ BipartiteGraph BlockCommunity(size_t num_left, size_t num_right,
                               size_t blocks, double p_in, double p_out,
                               uint64_t seed);
 
-/// A deliberately load-skewed graph for the parallel-scheduling
-/// experiments: right vertex 0 is a *hub* adjacent to every left vertex of
+/// A deliberately load-skewed graph for the parallel experiments: right vertex 0 is a *hub* adjacent to every left vertex of
 /// a dense `block_left x block_right` block (intra-block edge probability
 /// `p_in`), followed by a sparse `tail_left x tail_right` uniform tail
 /// (probability `p_tail`) on disjoint vertex ranges. Under the natural
 /// ascending right order, every maximal biclique containing the hub lands
 /// in subtree(0), so one subtree carries nearly all enumeration work while
-/// the tail provides many tiny subtrees — the worst case for static
-/// partitioning and the showcase for work stealing with subtree splitting.
+/// the tail provides many tiny subtrees — the worst case for any
+/// whole-subtree schedule and the showcase for subtree splitting.
 ///
 /// Sides: num_left = block_left + tail_left,
 ///        num_right = 1 + block_right + tail_right (hub is right id 0).

@@ -27,11 +27,12 @@ uint64_t NowNs() {
           .count());
 }
 
-/// First-failure containment shared by the drivers. An exception escaping
-/// a worker task or a sink flush lands here: with a controller it becomes
-/// Termination::kInternal (message preserved, fleet drains cooperatively);
-/// without one the first exception is rethrown to the caller after the
-/// join, so it is never swallowed and never crosses a thread boundary raw.
+/// First-failure containment of a run. An exception escaping a worker
+/// task, a sink flush or a snapshot write lands here: with a controller it
+/// becomes Termination::kInternal (message preserved, fleet drains
+/// cooperatively); without one the first exception is rethrown to the
+/// caller after the join, so it is never swallowed and never crosses a
+/// thread boundary raw.
 struct FailureLatch {
   explicit FailureLatch(RunController* run_controller)
       : controller(run_controller) {}
@@ -98,9 +99,9 @@ struct StealWorkerState {
   uint64_t idle_ns = 0;
 };
 
-/// The kStealing scheduler: per-worker Chase–Lev deques seeded with the
-/// subtree tasks heaviest-last (so each owner starts on its heaviest seed
-/// while thieves drain light tails), randomized victim selection with
+/// The scheduler: per-worker Chase–Lev deques seeded with the subtree
+/// tasks heaviest-last (so each owner starts on its heaviest seed while
+/// thieves drain light tails), randomized victim selection with
 /// yield/sleep backoff, and split-at-pickup for heavy subtrees.
 EnumStats RunWorkStealing(const BipartiteGraph& graph,
                           const WorkerFactory& factory,
@@ -466,92 +467,18 @@ EnumStats RunWorkStealing(const BipartiteGraph& graph,
   return merged;
 }
 
-/// The flat per-vertex loop (kDynamic / kStatic) via ThreadPool.
-EnumStats RunThreadPool(const BipartiteGraph& graph,
-                        const WorkerFactory& factory,
-                        const ParallelOptions& options, ResultSink* sink) {
-  ThreadPool pool(options.threads);
-  const unsigned workers = pool.threads();
-
-  // One engine and one sink buffer per worker slot. Ownership invariant:
-  // engines[w] / buffers[w] are written and used only by the single pool
-  // thread running with worker_id == w (ThreadPool passes each thread a
-  // distinct id), and read here only after ParallelFor's join — which
-  // orders those accesses, so no lock is needed.
-  std::vector<std::unique_ptr<SubtreeWorker>> engines(workers);
-  std::vector<std::unique_ptr<BufferedSink>> buffers(workers);
-  FailureLatch failure{options.controller};
-
-  pool.ParallelFor(
-      graph.num_right(), options.scheduling,
-      [&](uint64_t v, unsigned worker_id) {
-        // Attribute this task's allocations to the run's budget (pool
-        // threads carry no binding; the store/restore pair is two
-        // thread-local writes per subtree, noise next to the subtree).
-        util::ScopedBudgetBinding budget_binding(options.budget);
-        // Drain the remaining index space without enumerating once any
-        // worker trips the shared stop flag or fails.
-        if ((options.controller != nullptr &&
-             options.controller->stop_requested()) ||
-            failure.failed.load(std::memory_order_acquire)) {
-          return;
-        }
-        try {
-          if (PMBE_FAULT("worker.task")) {
-            throw util::FaultError("injected fault: worker.task");
-          }
-          SubtreeWorker* engine = engines[worker_id].get();
-          if (engine == nullptr) {
-            engines[worker_id] = factory();
-            buffers[worker_id] = std::make_unique<BufferedSink>(
-                sink, options.sink_buffer_results, options.sink_buffer_bytes);
-            engine = engines[worker_id].get();
-          }
-          engine->EnumerateSubtree(static_cast<VertexId>(v),
-                                   buffers[worker_id].get());
-        } catch (const std::exception& e) {
-          failure.Record(e.what());
-        } catch (...) {
-          failure.Record("unknown exception in worker task");
-        }
-      });
-
-  EnumStats merged;
-  for (unsigned w = 0; w < workers; ++w) {
-    if (buffers[w]) {
-      try {
-        buffers[w]->Flush();
-      } catch (const std::exception& e) {
-        failure.Record(e.what());
-      } catch (...) {
-        failure.Record("unknown exception flushing worker sink");
-      }
-      merged.sink_flushes += buffers[w]->flushes();
-    }
-    if (engines[w]) merged.MergeFrom(engines[w]->stats());
-  }
-  failure.MaybeRethrow();
-  return merged;
-}
-
 }  // namespace
 
 EnumStats ParallelEnumerate(const BipartiteGraph& graph,
                             const WorkerFactory& factory,
                             const ParallelOptions& options, ResultSink* sink) {
   PMBE_CHECK(sink != nullptr);
-  // Frontier-driven runs always take the stealing path (the frontier
-  // records the task lifecycle the deques implement; options.Validate
-  // enforces kStealing at the API layer) and skip the empty-graph early
-  // return so even a trivially complete run writes its final snapshot.
-  if (options.frontier != nullptr) {
-    return RunWorkStealing(graph, factory, options, sink);
+  // Frontier-driven runs skip the empty-graph early return so even a
+  // trivially complete run writes its final snapshot.
+  if (options.frontier == nullptr && graph.num_right() == 0) {
+    return EnumStats{};
   }
-  if (graph.num_right() == 0) return EnumStats{};
-  if (options.scheduling == Scheduling::kStealing) {
-    return RunWorkStealing(graph, factory, options, sink);
-  }
-  return RunThreadPool(graph, factory, options, sink);
+  return RunWorkStealing(graph, factory, options, sink);
 }
 
 }  // namespace mbe

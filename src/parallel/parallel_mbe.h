@@ -8,7 +8,6 @@
 #include "core/run_control.h"
 #include "core/sink.h"
 #include "graph/bipartite_graph.h"
-#include "parallel/thread_pool.h"
 #include "parallel/work_stealing.h"
 #include "snapshot/checkpoint.h"
 #include "snapshot/frontier.h"
@@ -20,14 +19,14 @@
 /// state) and a private BufferedSink over the shared thread-safe
 /// ResultSink (emissions are batched; see core/sink.h).
 ///
-/// Three scheduling disciplines (Scheduling, parallel/thread_pool.h):
-///  * kDynamic / kStatic — the flat per-vertex loop via ThreadPool;
-///  * kStealing (default) — per-worker Chase–Lev deques seeded
-///    heaviest-subtree-first, randomized stealing, and heavy-subtree
-///    *splitting*: when a subtree's estimated work is large (always) or a
-///    thief is starving (lower bar), its top-level candidate loop is
-///    sharded into up to `max_split` independently executable tasks, so a
-///    single hub subtree no longer serializes the run.
+/// One scheduler runs every standalone parallel and durable run: per-worker
+/// Chase–Lev deques seeded heaviest-subtree-first, randomized stealing,
+/// and heavy-subtree *splitting*: when a subtree's estimated work is large
+/// (always) or a thief is starving (lower bar), its top-level candidate
+/// loop is sharded into up to `max_split` independently executable tasks,
+/// so a single hub subtree no longer serializes the run. With
+/// `max_split` = 1 it degenerates to whole-subtree tasks, the per-vertex
+/// loop with stealing in place of a shared counter.
 ///
 /// This plays two roles in the evaluation:
 ///  * "ParMBE": parallel iMBEA workers, the CPU-parallel comparison point;
@@ -55,7 +54,10 @@ class SubtreeWorker {
   /// be split into: in [2, max_shards] when the subtree's estimated work
   /// is at least `min_work` and it has enough top-level candidates,
   /// otherwise 1 (don't split). Engines that cannot split return 1 (the
-  /// default), and the scheduler then runs the subtree whole.
+  /// default), and the scheduler then runs the subtree whole. The
+  /// scheduler calls EnumerateShard(v, ...) on the same engine right after,
+  /// so an engine may keep the root the hint built for that one call
+  /// (SubtreeRootCache, core/subtree.h).
   virtual uint32_t SplitHint(VertexId /*v*/, uint32_t /*max_shards*/,
                              uint64_t /*min_work*/) {
     return 1;
@@ -80,7 +82,6 @@ using WorkerFactory = std::function<std::unique_ptr<SubtreeWorker>()>;
 /// Configuration of a parallel run.
 struct ParallelOptions {
   unsigned threads = 1;
-  Scheduling scheduling = Scheduling::kStealing;
 
   /// Shared run controller (may be null). The driver skips unclaimed
   /// subtrees once its stop flag trips, so the first worker to hit a
@@ -95,8 +96,8 @@ struct ParallelOptions {
   /// default.
   util::MemoryBudget* budget = nullptr;
 
-  /// Maximum shards a heavy subtree is split into (kStealing only; 1
-  /// disables splitting). Bounded by kMaxTaskShards.
+  /// Maximum shards a heavy subtree is split into (1 disables splitting).
+  /// Bounded by kMaxTaskShards.
   uint32_t max_split = 8;
 
   /// Predicted-time bar, in nanoseconds (EstimateSubtreeWork units): a
@@ -117,7 +118,7 @@ struct ParallelOptions {
   size_t sink_buffer_results = 64;
   size_t sink_buffer_bytes = 1 << 16;
 
-  /// Worker watchdog (kStealing only; needs a controller to report to).
+  /// Worker watchdog (needs a controller to report to).
   /// When > 0, a monitor thread sweeps per-worker heartbeats — stamped at
   /// every task pickup and steal-loop round — and a worker silent for this
   /// many seconds stops the run with Termination::kInternal. The bound is
@@ -127,14 +128,14 @@ struct ParallelOptions {
   double watchdog_stall_seconds = 0;
 
   /// Durable task frontier (snapshot/frontier.h); null runs volatile, as
-  /// before. When set, the stealing driver takes its seed tasks from the
+  /// before. When set, the scheduler takes its seed tasks from the
   /// frontier's pending set instead of the whole right side, records every
   /// split and completion (with a per-task result digest) in it, and never
   /// re-runs a task the frontier already logged as completed — the
   /// substrate of checkpoint/resume and multi-process sharding
   /// (docs/CHECKPOINT.md). The caller owns the frontier and seeds it
   /// (fresh, restored from a snapshot, or one process shard of the seed
-  /// space). Requires Scheduling::kStealing.
+  /// space).
   snapshot::TaskFrontier* frontier = nullptr;
 
   /// Checkpoint persistence over `frontier` (ignored when frontier is

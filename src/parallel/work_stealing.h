@@ -9,10 +9,9 @@
 #include "util/common.h"
 
 /// \file
-/// The work-stealing substrate of the parallel driver
-/// (Scheduling::kStealing): per-worker Chase–Lev deques holding encoded
-/// subtree tasks, plus the task encoding shared with the scheduler in
-/// parallel_mbe.cc.
+/// The work-stealing substrate of the parallel driver: per-worker
+/// Chase–Lev deques holding encoded subtree tasks, plus the task encoding
+/// shared with the scheduler in parallel_mbe.cc.
 ///
 /// Why not the shared-counter loop? The per-vertex subtree decomposition
 /// is heavily skewed on real bipartite graphs: one hub subtree can hold

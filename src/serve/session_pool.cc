@@ -38,12 +38,16 @@ void SessionPool::Submit(std::shared_ptr<Session> session,
   active->remaining.store(tasks, std::memory_order_relaxed);
   active->per_worker.resize(workers_.size());
 
+  // Read stop_ only under mu_: Shutdown writes it under the lock from
+  // another thread.
+  bool pool_stopped = false;
   bool inline_finish = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stop_) {
       // The pool's workers are gone; honor the done-exactly-once contract
       // on the calling thread, as a cancelled empty run.
+      pool_stopped = true;
       inline_finish = true;
     } else if (tasks == 0) {
       // Nothing to claim (empty right side): never enters the ring, so
@@ -54,7 +58,7 @@ void SessionPool::Submit(std::shared_ptr<Session> session,
     }
   }
   if (inline_finish) {
-    if (stop_) active->session->Cancel();
+    if (pool_stopped) active->session->Cancel();
     util::ScopedBudgetBinding binding(&active->session->budget());
     RunResult result;
     active->session->Finish(&result);

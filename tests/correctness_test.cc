@@ -226,16 +226,17 @@ TEST(ParallelTest, ThreadsAndSchedulingDoNotChangeResults) {
   BipartiteGraph graph = gen::PowerLaw(250, 180, 1500, 0.85, 0.8, 99);
   const std::vector<Biclique> reference = RunEnum(graph, Options());
 
+  // max_split 1 never asks for a split hint; 8 asks at every pickup, and
+  // the task then reuses the root the hint built.
   for (Algorithm algorithm : {Algorithm::kMbet, Algorithm::kImbea}) {
     for (unsigned threads : {2u, 4u, 8u}) {
-      for (Scheduling scheduling : {Scheduling::kDynamic, Scheduling::kStatic,
-                                    Scheduling::kStealing}) {
+      for (uint32_t max_split : {1u, 8u}) {
         Options options = OptionsFor(algorithm);
         options.threads = threads;
-        options.scheduling = scheduling;
+        options.max_split = max_split;
         EXPECT_EQ(DiffResultSets(reference, RunEnum(graph, options)), "")
-            << AlgorithmName(algorithm) << " threads=" << threads << " "
-            << SchedulingName(scheduling);
+            << AlgorithmName(algorithm) << " threads=" << threads
+            << " max_split=" << max_split;
       }
     }
   }

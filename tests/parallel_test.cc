@@ -1,82 +1,19 @@
-// Unit tests for the thread pool and the parallel enumeration driver.
+// Unit tests for the parallel enumeration driver.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <mutex>
-#include <set>
+#include <tuple>
 #include <vector>
 
 #include "api/mbe.h"
 #include "core/mbet.h"
 #include "gen/generators.h"
 #include "parallel/parallel_mbe.h"
-#include "parallel/thread_pool.h"
 
 namespace mbe {
 namespace {
-
-class ThreadPoolTest
-    : public ::testing::TestWithParam<std::tuple<unsigned, Scheduling>> {};
-
-TEST_P(ThreadPoolTest, EveryIndexRunsExactlyOnce) {
-  const auto [threads, scheduling] = GetParam();
-  ThreadPool pool(threads);
-  constexpr uint64_t kN = 10000;
-  std::vector<std::atomic<int>> hits(kN);
-  pool.ParallelFor(kN, scheduling, [&](uint64_t i, unsigned worker) {
-    ASSERT_LT(worker, pool.threads());
-    hits[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (uint64_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Configs, ThreadPoolTest,
-    ::testing::Combine(::testing::Values(1u, 2u, 4u, 7u),
-                       ::testing::Values(Scheduling::kDynamic,
-                                         Scheduling::kStatic,
-                                         // Degrades to kDynamic for index
-                                         // loops (see thread_pool.h).
-                                         Scheduling::kStealing)));
-
-TEST(ThreadPoolBasicTest, ZeroIterationsIsNoop) {
-  ThreadPool pool(4);
-  bool ran = false;
-  pool.ParallelFor(0, Scheduling::kDynamic,
-                   [&](uint64_t, unsigned) { ran = true; });
-  EXPECT_FALSE(ran);
-}
-
-TEST(ThreadPoolBasicTest, ClampsToAtLeastOneThread) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.threads(), 1u);
-}
-
-TEST(ThreadPoolBasicTest, MoreThreadsThanWork) {
-  ThreadPool pool(16);
-  std::atomic<int> count{0};
-  pool.ParallelFor(3, Scheduling::kDynamic,
-                   [&](uint64_t, unsigned) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 3);
-}
-
-TEST(ThreadPoolBasicTest, StaticBlocksAreContiguousPerWorker) {
-  ThreadPool pool(3);
-  std::mutex mu;
-  std::vector<std::vector<uint64_t>> by_worker(3);
-  pool.ParallelFor(30, Scheduling::kStatic, [&](uint64_t i, unsigned w) {
-    std::lock_guard<std::mutex> lock(mu);
-    by_worker[w].push_back(i);
-  });
-  for (const auto& indices : by_worker) {
-    for (size_t k = 1; k < indices.size(); ++k) {
-      EXPECT_EQ(indices[k], indices[k - 1] + 1) << "non-contiguous block";
-    }
-  }
-}
 
 // --- ParallelEnumerate --------------------------------------------------------
 
@@ -173,7 +110,6 @@ TEST(WorkStealingDriverTest, SplitsHeavySubtreeAndMatchesSerial) {
 
   ParallelOptions options;
   options.threads = 8;
-  options.scheduling = Scheduling::kStealing;
   options.split_min_work = 64;  // low bar so the hub subtree surely splits
   CountSink sink;
   EnumStats merged = ParallelEnumerate(
@@ -219,7 +155,6 @@ TEST(WorkStealingDriverTest, SplitDisabledStillMatchesSerial) {
 
   ParallelOptions options;
   options.threads = 4;
-  options.scheduling = Scheduling::kStealing;
   options.max_split = 1;  // stealing without splitting
   CountSink sink;
   EnumStats merged = ParallelEnumerate(
@@ -240,7 +175,6 @@ TEST(WorkStealingDriverTest, DefaultWorkerWithoutSplitSupport) {
 
   ParallelOptions options;
   options.threads = 8;
-  options.scheduling = Scheduling::kStealing;
   options.split_min_work = 1;  // an eager bar, but the worker can't split
   CountSink sink;
   EnumStats merged = ParallelEnumerate(
@@ -259,7 +193,6 @@ TEST(WorkStealingDriverTest, SingleThreadStealingMatchesSerial) {
 
   ParallelOptions options;
   options.threads = 1;
-  options.scheduling = Scheduling::kStealing;
   options.split_min_work = 32;
   CountSink sink;
   EnumStats merged = ParallelEnumerate(
@@ -268,6 +201,127 @@ TEST(WorkStealingDriverTest, SingleThreadStealingMatchesSerial) {
       options, &sink);
   EXPECT_EQ(sink.count(), serial_sink.count());
   EXPECT_EQ(merged.steals, 0u) << "one worker has nobody to steal from";
+}
+
+// --- Scheduler coverage ------------------------------------------------------
+
+// What a run asked its workers to do, tallied across all of them.
+struct TaskLedger {
+  static constexpr uint32_t kShards = 8;
+
+  explicit TaskLedger(size_t n) : hits(n * kShards), shards_of(n), hints(n) {}
+
+  std::vector<std::atomic<int>> hits;            // per (v, shard)
+  std::vector<std::atomic<uint32_t>> shards_of;  // num_shards seen for v
+  std::vector<std::atomic<int>> hints;           // SplitHint calls for v
+  std::atomic<int> created{0};
+  std::atomic<int> unpaired_shards{0};  // a hint not followed by its task
+};
+
+// Runs no enumeration: splits subtree v into 1 + v % 5 shards (capped by
+// max_shards) whatever the bar, and records every call in the ledger.
+class ScriptedWorker : public SubtreeWorker {
+ public:
+  explicit ScriptedWorker(TaskLedger* ledger) : ledger_(ledger) {
+    ledger_->created.fetch_add(1);
+  }
+  void EnumerateSubtree(VertexId v, ResultSink*) override {
+    Record(v, 0, 1);
+  }
+  uint32_t SplitHint(VertexId v, uint32_t max_shards, uint64_t) override {
+    ledger_->hints[v].fetch_add(1);
+    hinted_ = v;
+    return std::min<uint32_t>(max_shards, 1 + v % 5);
+  }
+  void EnumerateShard(VertexId v, uint32_t shard, uint32_t num_shards,
+                      ResultSink*) override {
+    Record(v, shard, num_shards);
+  }
+  EnumStats stats() const override { return EnumStats{}; }
+
+ private:
+  static constexpr VertexId kNoHint = ~VertexId{0};
+
+  void Record(VertexId v, uint32_t shard, uint32_t num_shards) {
+    // An engine may keep the root its hint built for the one task that
+    // follows on the same engine: that task must be shard 0 of the same v.
+    if (hinted_ != kNoHint && (hinted_ != v || shard != 0)) {
+      ledger_->unpaired_shards.fetch_add(1);
+    }
+    hinted_ = kNoHint;
+    ledger_->hits[v * TaskLedger::kShards + shard].fetch_add(1);
+    ledger_->shards_of[v].store(num_shards);
+  }
+
+  TaskLedger* ledger_;
+  VertexId hinted_ = kNoHint;
+};
+
+// Runs the scheduler with ScriptedWorkers and checks that every subtree of
+// `graph` ran exactly once, whole or as each of its shards exactly once.
+void ExpectEveryTaskOnce(const BipartiteGraph& graph, unsigned threads,
+                         uint32_t max_split) {
+  const size_t n = graph.num_right();
+  TaskLedger ledger(n);
+  ParallelOptions options;
+  options.threads = threads;
+  options.max_split = max_split;
+  CountSink sink;
+  EnumStats merged = ParallelEnumerate(
+      graph, [&ledger]() { return std::make_unique<ScriptedWorker>(&ledger); },
+      options, &sink);
+
+  // No more workers than there are threads or seed tasks; a run with no
+  // task builds none.
+  EXPECT_EQ(ledger.created.load() > 0, n > 0);
+  EXPECT_LE(ledger.created.load(),
+            static_cast<int>(std::min<size_t>(std::max(1u, threads), n)));
+  EXPECT_EQ(ledger.unpaired_shards.load(), 0);
+  uint64_t split_subtrees = 0;
+  for (size_t v = 0; v < n; ++v) {
+    // Only whole-subtree pickups ask for a hint, and only when splitting
+    // is enabled.
+    EXPECT_EQ(ledger.hints[v].load(), max_split > 1 ? 1 : 0) << "v=" << v;
+    const uint32_t k =
+        max_split > 1 ? std::min<uint32_t>(max_split, 1 + v % 5) : 1;
+    if (k > 1) ++split_subtrees;
+    EXPECT_EQ(ledger.shards_of[v].load(), k) << "v=" << v;
+    for (uint32_t s = 0; s < TaskLedger::kShards; ++s) {
+      EXPECT_EQ(ledger.hits[v * TaskLedger::kShards + s].load(),
+                s < k ? 1 : 0)
+          << "v=" << v << " shard " << s;
+    }
+  }
+  EXPECT_EQ(merged.split_tasks, split_subtrees);
+}
+
+class StealingCoverageTest
+    : public ::testing::TestWithParam<std::tuple<unsigned, uint32_t>> {};
+
+TEST_P(StealingCoverageTest, EveryTaskRunsExactlyOnce) {
+  const auto [threads, max_split] = GetParam();
+  ExpectEveryTaskOnce(gen::PowerLaw(200, 2000, 6000, 0.8, 0.8, 47), threads,
+                      max_split);
+}
+
+INSTANTIATE_TEST_SUITE_P(Configs, StealingCoverageTest,
+                         ::testing::Combine(::testing::Values(1u, 2u, 4u, 7u),
+                                            ::testing::Values(1u, 8u)));
+
+TEST(StealingCoverageBasicTest, NoRightVertexRunsNoTask) {
+  ExpectEveryTaskOnce(BipartiteGraph::FromEdges(5, 0, {}), /*threads=*/4,
+                      /*max_split=*/8);
+}
+
+TEST(StealingCoverageBasicTest, ZeroThreadsRunsOneWorker) {
+  ExpectEveryTaskOnce(gen::PowerLaw(40, 60, 200, 0.8, 0.8, 48),
+                      /*threads=*/0, /*max_split=*/8);
+}
+
+TEST(StealingCoverageBasicTest, MoreThreadsThanTasks) {
+  ExpectEveryTaskOnce(
+      BipartiteGraph::FromEdges(4, 3, {{0, 0}, {1, 1}, {2, 2}, {3, 0}}),
+      /*threads=*/16, /*max_split=*/8);
 }
 
 TEST(ParallelEnumerateTest, StopRequestHaltsWorkers) {

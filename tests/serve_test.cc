@@ -2,7 +2,8 @@
 // `serve::Server` on a Unix-domain socket driven by a minimal blocking
 // wire client. Covers the handshake, graph upload, concurrent-session
 // digest identity, per-session cancel/deadline/budget containment,
-// admission rejection, drain, and protocol-error handling.
+// admission rejection, drain, and protocol-error handling; and how the
+// shared SessionPool finishes a session submitted around its Shutdown.
 
 #include <gtest/gtest.h>
 
@@ -10,11 +11,13 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/engine.h"
@@ -22,6 +25,7 @@
 #include "core/sink.h"
 #include "gen/generators.h"
 #include "serve/server.h"
+#include "serve/session_pool.h"
 #include "serve/wire.h"
 
 namespace mbe::serve {
@@ -801,6 +805,73 @@ TEST(ServeTest, CancelOfUnknownSessionIsIgnored) {
   ASSERT_TRUE(done.has_value());
   EXPECT_EQ(std::get<SessionDoneMsg>(*done).termination,
             static_cast<uint8_t>(Termination::kComplete));
+}
+
+// --- SessionPool::Submit around Shutdown ---------------------------------
+
+// A prepared session with no subtree task (empty right side): Submit
+// finishes it inline, so whether the pool had stopped decides the outcome.
+std::shared_ptr<Session> EmptySession(ResultSink* sink) {
+  auto engine =
+      Engine::Build(BipartiteGraph::FromEdges(4, 0, {}), GraphOptions{});
+  EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+  auto session =
+      std::make_shared<Session>(std::move(engine).value(), RunOptions{}, 1);
+  EXPECT_TRUE(session->Prepare(sink).ok());
+  EXPECT_EQ(session->task_count(), 0u);
+  return session;
+}
+
+TEST(SessionPoolSubmitTest, EmptySessionBeforeShutdownCompletes) {
+  SessionPool pool(2);
+  CountSink sink;
+  int done = 0;
+  RunResult result;
+  pool.Submit(EmptySession(&sink), [&](const RunResult& r) {
+    result = r;
+    ++done;
+  });
+  pool.Shutdown();
+  EXPECT_EQ(done, 1);
+  EXPECT_EQ(result.termination, Termination::kComplete);
+  EXPECT_EQ(sink.count(), 0u);
+}
+
+TEST(SessionPoolSubmitTest, EmptySessionAfterShutdownIsCancelled) {
+  SessionPool pool(2);
+  pool.Shutdown();
+  CountSink sink;
+  int done = 0;
+  RunResult result;
+  pool.Submit(EmptySession(&sink), [&](const RunResult& r) {
+    result = r;
+    ++done;
+  });
+  EXPECT_EQ(done, 1);
+  EXPECT_EQ(result.termination, Termination::kCancelled);
+}
+
+TEST(SessionPoolSubmitTest, EmptySessionRacingShutdownFinishesOnce) {
+  // Submit reads the pool's stop flag while Shutdown sets it from another
+  // thread: either order is fine, but done fires exactly once and the
+  // outcome is one of the two orders'.
+  for (int round = 0; round < 20; ++round) {
+    SessionPool pool(1);
+    CountSink sink;
+    std::shared_ptr<Session> session = EmptySession(&sink);
+    std::atomic<int> done{0};
+    RunResult result;
+    std::thread stopper([&pool] { pool.Shutdown(); });
+    pool.Submit(session, [&](const RunResult& r) {
+      result = r;
+      done.fetch_add(1);
+    });
+    stopper.join();
+    EXPECT_EQ(done.load(), 1) << "round " << round;
+    EXPECT_TRUE(result.termination == Termination::kComplete ||
+                result.termination == Termination::kCancelled)
+        << "round " << round;
+  }
 }
 
 }  // namespace

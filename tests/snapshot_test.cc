@@ -756,12 +756,6 @@ TEST(CheckpointOptionsTest, ValidateRejectsIncoherentCheckpointing) {
     EXPECT_EQ(o.Validate().code(), util::StatusCode::kInvalidArgument);
   }
   {
-    Options o;  // frontier needs the stealing scheduler
-    o.checkpoint.path = "x.pmbf";
-    o.scheduling = Scheduling::kDynamic;
-    EXPECT_EQ(o.Validate().code(), util::StatusCode::kInvalidArgument);
-  }
-  {
     Options o;  // shard coordinates out of range
     o.checkpoint.path = "x.pmbf";
     o.checkpoint.shard_index = 4;

@@ -1,12 +1,18 @@
 // Unit tests for the subtree-root builder: the per-vertex decomposition
-// every enumerator and the parallel driver rely on.
+// every enumerator and the parallel driver rely on, and the root an
+// engine keeps from a split hint for the task that follows it.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
+#include "baselines/mbea.h"
+#include "core/mbet.h"
+#include "core/sink.h"
 #include "core/subtree.h"
+#include "engines/bbk.h"
 #include "gen/generators.h"
 
 namespace mbe {
@@ -176,6 +182,108 @@ TEST(SubtreeWorkTest, SplitShardsSizesShardsToTheBar) {
   // would re-pay the depth-0 pass that dominates them.
   EXPECT_EQ(SplitShards(SyntheticRoot(100, 15, 6000, 40), 64, 1), 1u);
   EXPECT_EQ(SplitShards(SyntheticRoot(15, 200, 0, 10), 64, 1), 1u);
+}
+
+// --- Root reuse: SplitHint(v) keeps its root for EnumerateShard(v) ---------
+
+// Digest and emission count of what one call sequence emitted.
+struct Emitted {
+  uint64_t digest = 0;
+  uint64_t count = 0;
+  bool operator==(const Emitted&) const = default;
+};
+
+Emitted Of(const FingerprintSink& sink) {
+  return {sink.Digest(), sink.count()};
+}
+
+// Checks, on every subtree of a hub graph with a split bar low enough that
+// the hub subtree splits:
+//  * SplitHint(v) followed by EnumerateShard(v, s, k) on the same engine,
+//    over every s, emits what a fresh engine's EnumerateSubtree(v) emits,
+//    with the same subtrees_pruned count;
+//  * after SplitHint(v1), EnumerateShard(v2, 0, 1) builds v2's own root,
+//    and a later EnumerateShard(v1, 0, 1) does not reuse the root the hint
+//    left behind (the engine's root scratch now holds v2's root).
+template <typename Make>
+void CheckRootReuse(const Make& make) {
+  const BipartiteGraph graph = gen::HubBlock(30, 24, 30, 60, 0.4, 0.03, 7);
+  constexpr uint32_t kMaxShards = 8;
+  constexpr uint64_t kLowMinWork = 64;
+  const VertexId n = static_cast<VertexId>(graph.num_right());
+
+  std::vector<Emitted> reference(n);
+  uint64_t reference_pruned = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    auto fresh = make(graph);
+    FingerprintSink sink;
+    fresh->EnumerateSubtree(v, &sink);
+    reference[v] = Of(sink);
+    reference_pruned += fresh->stats().subtrees_pruned;
+  }
+  ASSERT_GT(reference[0].count, 0u);
+  ASSERT_GT(reference_pruned, 0u);  // so the prune counts below bite
+
+  // Every shard right after a hint of its own: every shard reuses a root.
+  auto hinted = make(graph);
+  // As the scheduler runs a task: the shard after the hint reuses its
+  // root, the other shards (on other engines, in the scheduler) build.
+  auto owner = make(graph);
+  uint32_t split_subtrees = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    const uint32_t k = hinted->SplitHint(v, kMaxShards, kLowMinWork);
+    ASSERT_GE(k, 1u);
+    if (k > 1) ++split_subtrees;
+    FingerprintSink each;
+    for (uint32_t s = 0; s < k; ++s) {
+      if (s > 0) {
+        ASSERT_EQ(hinted->SplitHint(v, kMaxShards, kLowMinWork), k);
+      }
+      hinted->EnumerateShard(v, s, k, &each);
+    }
+    EXPECT_EQ(Of(each), reference[v]) << "subtree " << v << " k=" << k;
+
+    ASSERT_EQ(owner->SplitHint(v, kMaxShards, kLowMinWork), k);
+    FingerprintSink first;
+    for (uint32_t s = 0; s < k; ++s) owner->EnumerateShard(v, s, k, &first);
+    EXPECT_EQ(Of(first), reference[v]) << "subtree " << v << " k=" << k;
+  }
+  EXPECT_GT(split_subtrees, 0u) << "the hub subtree should split";
+  EXPECT_EQ(hinted->stats().subtrees_pruned, reference_pruned);
+  EXPECT_EQ(owner->stats().subtrees_pruned, reference_pruned);
+
+  const VertexId v1 = 0;  // the hub: its hint builds the largest root
+  auto stale = make(graph);
+  for (VertexId v2 = 1; v2 < n; ++v2) {
+    stale->SplitHint(v1, kMaxShards, kLowMinWork);
+    FingerprintSink other;
+    stale->EnumerateShard(v2, 0, 1, &other);
+    EXPECT_EQ(Of(other), reference[v2]) << "v2=" << v2;
+    FingerprintSink again;
+    stale->EnumerateShard(v1, 0, 1, &again);
+    EXPECT_EQ(Of(again), reference[v1]) << "after v2=" << v2;
+  }
+  // Subtree v1 has no earlier vertex to be pruned by, so the count is each
+  // v2's prune once; the hints themselves count nothing.
+  EXPECT_EQ(stale->stats().subtrees_pruned, reference_pruned);
+}
+
+TEST(SubtreeRootReuseTest, Mbet) {
+  CheckRootReuse([](const BipartiteGraph& g) {
+    return std::make_unique<MbetEnumerator>(g, MbetOptions{});
+  });
+}
+
+TEST(SubtreeRootReuseTest, Imbea) {
+  CheckRootReuse([](const BipartiteGraph& g) {
+    return std::make_unique<MbeaEnumerator>(g, MbeaOptions{.improved = true});
+  });
+}
+
+TEST(SubtreeRootReuseTest, Bbk) {
+  CheckRootReuse([](const BipartiteGraph& g) {
+    return std::make_unique<BbkEnumerator>(g, BbkOptions{});
+  });
 }
 
 }  // namespace

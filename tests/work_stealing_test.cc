@@ -1,8 +1,8 @@
 // Tests for the work-stealing substrate: the Chase–Lev task deque, the
-// task encoding, and the end-to-end kStealing scheduling discipline
-// (digest-identical results across thread counts and schedulings, subtree
-// splitting, and run-control cooperation). The deque protocol tests are
-// also the payload of the TSan leg in scripts/check.sh.
+// task encoding, and the end-to-end scheduler (digest-identical results
+// across thread counts and split settings, subtree splitting, and
+// run-control cooperation). The deque protocol tests are also the payload
+// of the TSan leg in scripts/check.sh.
 
 #include <gtest/gtest.h>
 
@@ -176,15 +176,14 @@ TEST(TaskDequeStressTest, OwnerAndThievesRetireEveryTaskOnce) {
   }
 }
 
-// --- End-to-end: digests identical across schedulings ----------------------
+// --- End-to-end: digests identical across threads and splits ---------------
 
 uint64_t DigestOf(const BipartiteGraph& graph, Algorithm algorithm,
-                  unsigned threads, Scheduling scheduling) {
+                  unsigned threads, uint32_t max_split) {
   Options options;
   options.algorithm = algorithm;
   options.threads = threads;
-  options.scheduling = scheduling;
-  options.max_split = 8;
+  options.max_split = max_split;
   FingerprintSink sink;
   RunResult run;
   const util::Status status = Enumerate(graph, options, &sink, &run);
@@ -204,15 +203,16 @@ TEST_P(SchedulingDigestTest, IdenticalAcrossThreadsAndSchedulings) {
       gen::HubBlock(50, 35, 50, 100, 0.4, 0.03, 21),
       gen::PowerLaw(200, 150, 1200, 0.85, 0.8, 22),
   };
+  // max_split 1 never asks for a split hint, so every task builds its own
+  // root; 8 asks at every pickup and the task reuses the root the hint
+  // built (and splits any subtree whose predicted time clears the bar).
   for (const BipartiteGraph& graph : graphs) {
-    const uint64_t reference =
-        DigestOf(graph, algorithm, 1, Scheduling::kDynamic);
+    const uint64_t reference = DigestOf(graph, algorithm, 1, 1);
     for (unsigned threads : {1u, 2u, 8u}) {
-      for (Scheduling scheduling : {Scheduling::kDynamic, Scheduling::kStatic,
-                                    Scheduling::kStealing}) {
-        EXPECT_EQ(DigestOf(graph, algorithm, threads, scheduling), reference)
-            << AlgorithmName(algorithm) << " threads=" << threads << " "
-            << SchedulingName(scheduling);
+      for (uint32_t max_split : {1u, 8u}) {
+        EXPECT_EQ(DigestOf(graph, algorithm, threads, max_split), reference)
+            << AlgorithmName(algorithm) << " threads=" << threads
+            << " max_split=" << max_split;
       }
     }
   }
@@ -229,7 +229,6 @@ TEST(StealingRunControlTest, ResultBudgetIsExactUnderBatching) {
   BipartiteGraph graph = gen::HubBlock(60, 40, 60, 120, 0.4, 0.02, 23);
   Options options;
   options.threads = 8;
-  options.scheduling = Scheduling::kStealing;
   options.control.max_results = 50;
   CountSink sink;
   RunResult run;
@@ -246,7 +245,6 @@ TEST(StealingRunControlTest, CancellationDrainsTheFleet) {
   std::atomic<bool> cancel{true};  // pre-set: stop at the first poll
   Options options;
   options.threads = 8;
-  options.scheduling = Scheduling::kStealing;
   options.control.cancel = &cancel;
   CountSink sink;
   RunResult run;

@@ -116,10 +116,7 @@ int main(int argc, char** argv) {
   flags.AddString("order", "deg-asc",
                   "none | deg-asc | deg-desc | twohop | unilateral | random");
   flags.AddInt("threads", 1, "worker threads (mbet/mbetm/imbea/oombea/bbk)");
-  flags.AddString("scheduling", "stealing",
-                  "parallel scheduling: dynamic | static | stealing");
-  flags.AddInt("max_split", 8,
-               "max shards per heavy subtree under stealing (1 = off)");
+  flags.AddInt("max_split", 8, "max shards per heavy subtree (1 = off)");
   flags.AddDouble("timeout_s", 0,
                   "wall-clock deadline in seconds (0 = none)");
   flags.AddInt("max_results", 0, "stop after this many bicliques (0 = none)");
@@ -136,8 +133,8 @@ int main(int argc, char** argv) {
                   "silent this long stops the run instead of hanging it");
   flags.AddString("checkpoint_path", "",
                   "persist the task frontier to this file periodically and at "
-                  "drain (durable runs; requires --scheduling stealing). "
-                  "SIGTERM then stops with a final snapshot");
+                  "drain (durable runs). SIGTERM then stops with a final "
+                  "snapshot");
   flags.AddDouble("checkpoint_every_s", 30,
                   "seconds between periodic snapshots of a checkpointing run "
                   "(0 = only the final snapshot at drain)");
@@ -205,12 +202,6 @@ int main(int argc, char** argv) {
   }
   options.order = ParseVertexOrder(flags.GetString("order"));
   options.threads = static_cast<unsigned>(flags.GetInt("threads"));
-  if (util::Status parsed =
-          ParseScheduling(flags.GetString("scheduling"), &options.scheduling);
-      !parsed.ok()) {
-    std::fprintf(stderr, "error: %s\n", parsed.ToString().c_str());
-    return 2;
-  }
   options.max_split = static_cast<uint32_t>(flags.GetInt("max_split"));
   options.mbet.min_left = static_cast<uint32_t>(flags.GetInt("min-left"));
   options.mbet.min_right = static_cast<uint32_t>(flags.GetInt("min-right"));
@@ -443,8 +434,7 @@ int main(int argc, char** argv) {
                       .c_str());
     }
     if (options.threads > 1) {
-      std::printf("  scheduler:           %s, %llu steals, %llu split tasks\n",
-                  SchedulingName(options.scheduling),
+      std::printf("  scheduler:           %llu steals, %llu split tasks\n",
                   static_cast<unsigned long long>(s.steals),
                   static_cast<unsigned long long>(s.split_tasks));
       std::printf("  sink flushes:        %llu (batched emission)\n",
