@@ -35,6 +35,24 @@ void WriteRows(std::FILE* out, const char* key,
   std::fprintf(out, "\n  ]");
 }
 
+// About 2 s of untimed multi-threaded enumeration before the first timed
+// cell: the first second or two of parallel work in a process started on
+// an idle host runs several times slower, and without this the first
+// dataset of a suite absorbs it.
+void WarmUp(const mbe::BipartiteGraph& graph, unsigned threads) {
+  constexpr double kWarmUpSeconds = 2.0;
+  const mbe::util::WallTimer timer;
+  for (double left = kWarmUpSeconds; left > 0;
+       left = kWarmUpSeconds - timer.Seconds()) {
+    mbe::Options options;
+    options.threads = threads;
+    options.control.deadline_seconds = left;
+    mbe::CountSink sink;
+    mbe::RunResult result;
+    (void)mbe::Enumerate(graph, options, &sink, &result);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -72,8 +90,13 @@ int main(int argc, char** argv) {
 
   std::vector<JsonRow> timing_rows;
   std::vector<JsonRow> counter_rows;
+  bool warmed_up = false;
   for (const std::string& name : bench::ResolveSuite(flags.GetString("suite"))) {
     BipartiteGraph graph = gen::Materialize(gen::FindDataset(name), scale);
+    if (!warmed_up) {
+      WarmUp(graph, max_threads);
+      warmed_up = true;
+    }
     for (const Config& config : configs) {
       std::vector<std::string> row = {name, config.label};
       JsonRow timing{{{"dataset", name}, {"config", config.label}}};

@@ -507,12 +507,13 @@ echo "=== frontier-snapshot fuzz smoke (codec canonicity + typed errors) ==="
 echo "=== wire-protocol fuzz smoke (total decoding + canonical encoding) ==="
 "$FAULT_DIR/tools/fuzz_wire" -runs=20000
 
-echo "=== ThreadSanitizer leg: work-stealing deque + parallel driver ==="
+echo "=== ThreadSanitizer leg: work-stealing deque + task runtime ==="
 # The Chase–Lev deque keeps all shared state in std::atomic precisely so
 # TSan can verify the protocol. Build the concurrency-relevant tests with
 # -fsanitize=thread (mutually exclusive with ASan, hence a separate tree)
 # and run the deque stress tests plus the parallel, run-control, and sink
-# suites under it, and the session pool's Submit-against-Shutdown race.
+# suites under it, the multi-tenant runtime suite (sessions sharing one
+# TaskRuntime), and Submit racing the runtime's Shutdown.
 TSAN_DIR="$BUILD_DIR-tsan"
 TSAN_FLAGS="-fsanitize=thread -fno-sanitize-recover=all"
 cmake -B "$TSAN_DIR" -S . \
@@ -520,9 +521,10 @@ cmake -B "$TSAN_DIR" -S . \
   -DCMAKE_CXX_FLAGS="$TSAN_FLAGS" \
   -DCMAKE_EXE_LINKER_FLAGS="$TSAN_FLAGS"
 cmake --build "$TSAN_DIR" -j "$(nproc)" --target \
-  work_stealing_test parallel_test run_control_test sink_test serve_test
+  work_stealing_test parallel_test run_control_test sink_test serve_test \
+  engine_session_test
 ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$(nproc)" \
-  -R 'TaskDeque|TaskEncoding|WorkStealing|Scheduling|Stealing|ParallelEnumerate|RunControl|RunController|ControlledSink|BufferedSink|BudgetSink|CountSink|FingerprintSink|SessionPoolSubmit'
+  -R 'TaskDeque|TaskEncoding|WorkStealing|Scheduling|Stealing|ParallelEnumerate|RunControl|Termination|BufferedSink|BudgetSink|EmitBatch|CountSink|FingerprintSink|SharedRuntime|RuntimeSubmit'
 echo "tsan leg OK"
 
 echo "=== all checks passed ==="

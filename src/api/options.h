@@ -105,8 +105,9 @@ struct RunOptions {
 
   /// Worker threads for a standalone `Session::Run`. >1 uses the
   /// per-vertex subtree decomposition, which requires
-  /// SupportsParallel(algorithm). Ignored when the session executes on a
-  /// shared pool (serve/session_pool.h) — the pool brings the threads.
+  /// SupportsParallel(algorithm). Ignored when the session is submitted
+  /// to a shared TaskRuntime (Session::Submit) — the runtime brings the
+  /// threads.
   unsigned threads = 1;
   Scheduling scheduling = Scheduling::kStealing;
 

@@ -281,6 +281,50 @@ util::Status Session::PrepareImpl(ResultSink* sink, bool force_controller) {
   }
   monolithic_ = !SupportsParallel(effective_algorithm_);
 
+  // Durable runs are frontier-driven (docs/CHECKPOINT.md): build the task
+  // frontier before enumeration, either restoring a previous snapshot or
+  // seeding this process's hash shard of the right side. Setup failures
+  // (unreadable, corrupt, or mismatched snapshot) surface as a Status
+  // before any worker starts.
+  if (options_.checkpoint.enabled()) {
+    const BipartiteGraph& work = engine_->graph();
+    frontier_ = std::make_unique<snapshot::TaskFrontier>(
+        static_cast<uint8_t>(effective_algorithm_),
+        options_.checkpoint.shard_index, options_.checkpoint.shard_count,
+        work);
+    util::Status seeded = util::Status::Ok();
+    if (options_.checkpoint.resume) {
+      util::StatusOr<snapshot::FrontierSnapshot> snap =
+          snapshot::ReadSnapshotFile(options_.checkpoint.path);
+      seeded = snap.ok() ? frontier_->Restore(snap.value()) : snap.status();
+    } else if (::access(options_.checkpoint.path.c_str(), F_OK) == 0) {
+      // A fresh durable run must never clobber a resumable snapshot: the
+      // first periodic write would silently destroy the previous run's
+      // state. Forgetting checkpoint.resume is the common way to get
+      // here, so refuse before any worker starts.
+      seeded = util::Status::InvalidArgument(
+          "checkpoint.path '" + options_.checkpoint.path +
+          "' already exists; set checkpoint.resume (--resume) to continue "
+          "that run, or remove the file to start fresh");
+    } else {
+      for (uint64_t v = 0; v < work.num_right(); ++v) {
+        if (options_.checkpoint.shard_count > 1 &&
+            snapshot::ShardOfSeed(static_cast<VertexId>(v),
+                                  options_.checkpoint.shard_count) !=
+                options_.checkpoint.shard_index) {
+          continue;
+        }
+        frontier_->AddPending(EncodeTask(
+            {.v = static_cast<VertexId>(v), .shard = 0, .num_shards = 1}));
+      }
+    }
+    if (!seeded.ok()) {
+      finished_ = true;
+      frontier_.reset();
+      return seeded;
+    }
+  }
+
   // Memory budget: the session's own instance. With max_memory_bytes == 0
   // the cap and pressure thresholds stay off and only the (cheap)
   // accounting runs, so results are identical.
@@ -382,6 +426,43 @@ std::unique_ptr<SubtreeWorker> Session::MakeWorker() const {
   return nullptr;
 }
 
+ParallelOptions Session::JobOptions() {
+  ParallelOptions popts;
+  popts.threads = options_.threads;
+  popts.controller = controller();
+  popts.budget = &budget_;
+  popts.max_split = effective_max_split_;
+  popts.watchdog_stall_seconds = options_.watchdog_stall_seconds;
+  popts.frontier = frontier_.get();
+  popts.checkpoint = options_.checkpoint;
+  return popts;
+}
+
+void Session::Submit(TaskRuntime& runtime, DoneCallback done) {
+  // Dealt in descending order, so each worker runs its share in the
+  // engine's own vertex order. Heaviest-first seeding (ParallelEnumerate)
+  // would grow every worker engine's pooled scratch to its peak at the
+  // start of every concurrent session instead of staggered at their ends.
+  std::vector<uint64_t> seeds = SeedTasks(task_count(), frontier_.get());
+  std::reverse(seeds.begin(), seeds.end());
+  runtime.Submit(ParallelJob{
+      .factory = [this] { return MakeWorker(); },
+      .options = JobOptions(),
+      .sink = run_sink_,
+      .seeds = std::move(seeds),
+      // Prepare made a controller, so a contained failure is already a
+      // kInternal termination on it.
+      .done =
+          [this, done = std::move(done)](const EnumStats& stats,
+                                         std::exception_ptr) {
+            AddWorkerStats(stats);
+            util::ScopedBudgetBinding binding(&budget_);
+            RunResult result;
+            Finish(&result);
+            if (done) done(result);
+          }});
+}
+
 ResultSink* Session::run_sink() { return run_sink_; }
 
 RunController* Session::controller() {
@@ -433,9 +514,11 @@ void Session::Finish(RunResult* result) {
     out.termination = Termination::kComplete;
     out.results_emitted = out.stats.maximal;
   }
-  out.frontier_digest = frontier_digest_;
-  out.frontier_completed = frontier_completed_;
-  out.frontier_pending = frontier_pending_;
+  if (frontier_ != nullptr) {
+    out.frontier_digest = frontier_->MergedDigest().Value();
+    out.frontier_completed = frontier_->completed_count();
+    out.frontier_pending = frontier_->pending_count();
+  }
   budget_.EndRun();
   if (result != nullptr) *result = std::move(out);
 }
@@ -449,64 +532,13 @@ util::Status Session::Run(ResultSink* sink, RunResult* result) {
   RunController* ctrl = controller();
   const BipartiteGraph& work = engine_->graph();
 
-  // Durable runs are frontier-driven (docs/CHECKPOINT.md): build the task
-  // frontier before enumeration, either restoring a previous snapshot or
-  // seeding this process's hash shard of the right side. Setup failures
-  // (unreadable, corrupt, or mismatched snapshot) surface as a Status
-  // before any worker starts.
-  std::unique_ptr<snapshot::TaskFrontier> frontier;
-  if (options_.checkpoint.enabled()) {
-    frontier = std::make_unique<snapshot::TaskFrontier>(
-        static_cast<uint8_t>(effective_algorithm_),
-        options_.checkpoint.shard_index, options_.checkpoint.shard_count,
-        work);
-    util::Status seeded = util::Status::Ok();
-    if (options_.checkpoint.resume) {
-      util::StatusOr<snapshot::FrontierSnapshot> snap =
-          snapshot::ReadSnapshotFile(options_.checkpoint.path);
-      seeded = snap.ok() ? frontier->Restore(snap.value()) : snap.status();
-    } else if (::access(options_.checkpoint.path.c_str(), F_OK) == 0) {
-      // A fresh durable run must never clobber a resumable snapshot: the
-      // first periodic write would silently destroy the previous run's
-      // state. Forgetting checkpoint.resume is the common way to get
-      // here, so refuse before any worker starts.
-      seeded = util::Status::InvalidArgument(
-          "checkpoint.path '" + options_.checkpoint.path +
-          "' already exists; set checkpoint.resume (--resume) to continue "
-          "that run, or remove the file to start fresh");
-    } else {
-      for (uint64_t v = 0; v < work.num_right(); ++v) {
-        if (options_.checkpoint.shard_count > 1 &&
-            snapshot::ShardOfSeed(static_cast<VertexId>(v),
-                                  options_.checkpoint.shard_count) !=
-                options_.checkpoint.shard_index) {
-          continue;
-        }
-        frontier->AddPending(EncodeTask(
-            {.v = static_cast<VertexId>(v), .shard = 0, .num_shards = 1}));
-      }
-    }
-    if (!seeded.ok()) {
-      finished_ = true;
-      budget_.EndRun();
-      return seeded;
-    }
-  }
-
   auto run_enumeration = [&]() {
     // Durable runs always go through the parallel driver, even with one
     // thread: the frontier bookkeeping and the checkpointer live there.
-    if (options_.threads > 1 || frontier != nullptr) {
-      ParallelOptions popts;
-      popts.threads = options_.threads;
-      popts.controller = ctrl;
-      popts.budget = &budget_;
-      popts.max_split = effective_max_split_;
-      popts.watchdog_stall_seconds = options_.watchdog_stall_seconds;
-      popts.frontier = frontier.get();
-      popts.checkpoint = options_.checkpoint;
+    if (options_.threads > 1 || frontier_ != nullptr) {
       WorkerFactory factory = [this]() { return MakeWorker(); };
-      EnumStats merged = ParallelEnumerate(work, factory, popts, run_sink_);
+      EnumStats merged =
+          ParallelEnumerate(work, factory, JobOptions(), run_sink_);
       std::lock_guard<std::mutex> lock(stats_mu_);
       stats_.MergeFrom(merged);
       return;
@@ -559,6 +591,7 @@ util::Status Session::Run(ResultSink* sink, RunResult* result) {
       }
     }
   };
+
   // Containment: an exception escaping the engines (a throwing user sink
   // in a single-thread run, or a parallel failure the driver rethrew for
   // lack of a controller) is a component failure, not a crash. With a
@@ -581,11 +614,6 @@ util::Status Session::Run(ResultSink* sink, RunResult* result) {
       return util::Status::Internal("enumeration failed: unknown exception");
     }
     ctrl->ReportInternal("unknown exception");
-  }
-  if (frontier != nullptr) {
-    frontier_digest_ = frontier->MergedDigest().Value();
-    frontier_completed_ = frontier->completed_count();
-    frontier_pending_ = frontier->pending_count();
   }
   Finish(result);
   return util::Status::Ok();

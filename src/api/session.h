@@ -2,6 +2,7 @@
 #define PMBE_API_SESSION_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -28,14 +29,16 @@
 ///
 /// Two execution modes:
 ///  * `Run(sink)` — standalone: the session drives the enumeration itself,
-///    spawning `options.threads` workers through the parallel driver (or
-///    running inline when threads == 1). This is what the one-shot
-///    `mbe::Enumerate` facade wraps.
-///  * cooperative — a shared scheduler (serve/session_pool.h) calls
-///    `Prepare()`, executes the session's subtree tasks on its own
-///    workers (`MakeWorker` / `run_sink`), and calls `Finish()`. The
+///    as one job on a task runtime of `options.threads` workers
+///    (parallel/parallel_mbe.h), or inline when threads == 1 and the run
+///    is not durable. This is what the one-shot `mbe::Enumerate` facade
+///    wraps.
+///  * shared — `Prepare()`, then `Submit()` to a long-lived TaskRuntime
+///    that many sessions share (the serving daemon holds one). The
 ///    session still owns control, budget, and accounting; only the
-///    threads are shared.
+///    threads are shared. A caller can also drive the tasks itself
+///    (`MakeWorker` / `task_count` / `run_sink` / `AddWorkerStats`) and
+///    call `Finish()`.
 
 namespace mbe {
 
@@ -113,27 +116,37 @@ class Session {
   /// charged()/peak() live).
   util::MemoryBudget& budget() { return budget_; }
 
-  // --- Cooperative execution (shared scheduler) --------------------------
-  // The scheduler calls Prepare once, then executes `task_count()` subtree
-  // tasks through workers it creates with MakeWorker (one per scheduler
-  // thread, reused across this session's tasks), emitting into run_sink().
-  // Every worker's allocations must happen under a ScopedBudgetBinding of
-  // this session's budget(). After the last task retires the scheduler
-  // reports each worker's stats() via AddWorkerStats and calls Finish.
+  // --- Shared execution ---------------------------------------------------
+  // Prepare once, then either Submit to a shared TaskRuntime, or execute
+  // `task_count()` subtree tasks through workers made with MakeWorker
+  // (one per thread, reused across this session's tasks), emitting into
+  // run_sink() under a ScopedBudgetBinding of this session's budget(),
+  // and after the last task report each worker's stats() via
+  // AddWorkerStats and call Finish.
 
-  /// Validates and builds the run state (controller, budget, sink chain).
-  /// Cooperative mode always creates a controller, so cancellation,
-  /// deadline, memory containment, and exception containment work per
-  /// session even with inert RunControl.
+  /// Called once per session, from a runtime worker (or from Submit
+  /// itself), after Finish: the result is final and every result batch
+  /// has been flushed to the session's sink.
+  using DoneCallback = std::function<void(const RunResult&)>;
+
+  /// Validates and builds the run state (controller, budget, sink chain,
+  /// and a durable run's task frontier).
+  /// Shared mode always creates a controller, so cancellation, deadline,
+  /// memory containment, and exception containment work per session even
+  /// with inert RunControl.
   util::Status Prepare(ResultSink* sink);
+
+  /// Runs this prepared session as one job on `runtime` (stealing,
+  /// splitting, containment and the watchdog included; a durable session
+  /// checkpoints as in Run), finishes it when its last task retires, and
+  /// fires `done`. On a runtime already shut down the session is
+  /// cancelled and finished on the calling thread. The session must
+  /// outlive `done`.
+  void Submit(TaskRuntime& runtime, DoneCallback done);
 
   /// Subtree tasks of this run: one per right vertex of the engine graph
   /// for subtree-decomposable algorithms, 1 (whole-graph) otherwise.
   size_t task_count() const;
-
-  /// True when task v is the whole graph rather than one subtree (non
-  /// subtree-decomposable algorithm; the scheduler must not split it).
-  bool monolithic() const { return monolithic_; }
 
   /// Fresh single-threaded worker over the shared engine graph, attached
   /// to this session's controller. Thread-compatible: one per scheduler
@@ -142,9 +155,6 @@ class Session {
 
   /// The session's sink chain (translation + run control). Thread-safe.
   ResultSink* run_sink();
-
-  /// The session's controller (valid after Prepare until destruction).
-  RunController* controller();
 
   /// Folds one worker's counters into the session result (thread-safe).
   void AddWorkerStats(const EnumStats& stats);
@@ -162,6 +172,14 @@ class Session {
   /// sink as an Internal *status*); cooperative callers force the
   /// controller.
   util::Status PrepareImpl(ResultSink* sink, bool force_controller);
+
+  /// The session's controller (valid after Prepare until destruction).
+  RunController* controller();
+
+  /// The one session-to-job conversion, shared by Run and Submit:
+  /// effective max_split, controller, budget, watchdog, and the durable
+  /// frontier and checkpoint options.
+  ParallelOptions JobOptions();
 
   const uint64_t id_;
   std::shared_ptr<const Engine> engine_;
@@ -199,11 +217,9 @@ class Session {
   uint64_t kernel_mask_before_ = 0;
   uint64_t kernel_word_before_ = 0;
 
-  /// Frontier accounting of a durable standalone Run, copied into the
-  /// RunResult by Finish (zero for volatile runs).
-  uint64_t frontier_digest_ = 0;
-  uint64_t frontier_completed_ = 0;
-  uint64_t frontier_pending_ = 0;
+  /// Task frontier of a durable run (checkpoint.path set), built by
+  /// Prepare; Finish reports its digest and counts. Null when volatile.
+  std::unique_ptr<snapshot::TaskFrontier> frontier_;
 
   /// Merged worker counters (guarded by stats_mu_).
   std::mutex stats_mu_;

@@ -81,9 +81,11 @@ struct EnumStats {
   /// Wall time workers spent executing subtree/shard tasks, summed over
   /// workers, in nanoseconds (parallel driver only).
   uint64_t busy_ns = 0;
-  /// Wall time workers spent waiting for work (steal attempts, backoff),
-  /// summed over workers, in nanoseconds. busy/(busy+idle) is the
-  /// scheduler's load-balance figure of merit.
+  /// Worker time over the run's span (first task pickup to the last
+  /// task's retirement) not spent executing its tasks — hunting for work,
+  /// blocked, or running another job's tasks on a shared runtime — in
+  /// nanoseconds. busy/(busy+idle) is the scheduler's load-balance figure
+  /// of merit.
   uint64_t idle_ns = 0;
   /// Faults fired by the injection framework during the run (0 unless the
   /// build defines PMBE_FAULT_INJECTION and a point is armed).
@@ -98,9 +100,10 @@ struct EnumStats {
   uint64_t peak_charged_bytes = 0;
   /// Heartbeat sweeps performed by the worker watchdog monitor.
   uint64_t watchdog_checks = 0;
-  /// Time the run spent admitted-but-waiting before its first task ran on
-  /// a shared scheduler (serve/session_pool.h), in nanoseconds. 0 for
-  /// standalone runs.
+  /// Time the run waited before its first task ran, in nanoseconds:
+  /// submit to first pickup on the task runtime (parallel/parallel_mbe.h)
+  /// plus, for a served session, its wait in the admission queue. 0 for
+  /// inline single-threaded runs.
   uint64_t queue_wait_ns = 0;
   /// Frontier snapshots persisted by a checkpointing run (periodic plus
   /// the final one at drain; snapshot/checkpoint.h).

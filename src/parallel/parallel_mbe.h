@@ -1,8 +1,14 @@
 #ifndef PMBE_PARALLEL_PARALLEL_MBE_H_
 #define PMBE_PARALLEL_PARALLEL_MBE_H_
 
+#include <atomic>
+#include <condition_variable>
+#include <exception>
 #include <functional>
 #include <memory>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 #include "core/enum_stats.h"
 #include "core/run_control.h"
@@ -13,20 +19,23 @@
 #include "snapshot/frontier.h"
 
 /// \file
-/// The shared-memory parallel MBE driver. It fans the per-vertex subtree
+/// The shared-memory parallel MBE runtime. It fans the per-vertex subtree
 /// decomposition (core/subtree.h) out over worker threads; each worker
-/// owns a private enumerator instance (enumerators are single-threaded
-/// state) and a private BufferedSink over the shared thread-safe
-/// ResultSink (emissions are batched; see core/sink.h).
+/// owns a private enumerator instance per job (enumerators are
+/// single-threaded state) and a private BufferedSink over the job's
+/// thread-safe ResultSink (emissions are batched; see core/sink.h).
 ///
-/// One scheduler runs every standalone parallel and durable run: per-worker
+/// One runtime runs every parallel, durable and served run: a fixed fleet
+/// of workers executing *jobs* (TaskRuntime). Each job keeps per-worker
 /// Chase–Lev deques seeded heaviest-subtree-first, randomized stealing,
 /// and heavy-subtree *splitting*: when a subtree's estimated work is large
 /// (always) or a thief is starving (lower bar), its top-level candidate
 /// loop is sharded into up to `max_split` independently executable tasks,
 /// so a single hub subtree no longer serializes the run. With
 /// `max_split` = 1 it degenerates to whole-subtree tasks, the per-vertex
-/// loop with stealing in place of a shared counter.
+/// loop with stealing in place of a shared counter. A standalone run is
+/// one job on a runtime of its own (ParallelEnumerate); the serving daemon
+/// holds one runtime and submits every session to it.
 ///
 /// This plays two roles in the evaluation:
 ///  * "ParMBE": parallel iMBEA workers, the CPU-parallel comparison point;
@@ -81,6 +90,8 @@ using WorkerFactory = std::function<std::unique_ptr<SubtreeWorker>()>;
 
 /// Configuration of a parallel run.
 struct ParallelOptions {
+  /// Workers of ParallelEnumerate's runtime. A job submitted to a shared
+  /// TaskRuntime runs on that runtime's workers and ignores this.
   unsigned threads = 1;
 
   /// Shared run controller (may be null). The driver skips unclaimed
@@ -120,8 +131,9 @@ struct ParallelOptions {
 
   /// Worker watchdog (needs a controller to report to).
   /// When > 0, a monitor thread sweeps per-worker heartbeats — stamped at
-  /// every task pickup and steal-loop round — and a worker silent for this
-  /// many seconds stops the run with Termination::kInternal. The bound is
+  /// every task pickup, cleared when the task ends — and a task running
+  /// for more than this many seconds stops the run with
+  /// Termination::kInternal. The bound is
   /// therefore on the *longest single task*, so it is opt-in (0 = off): a
   /// legitimately giant subtree between heartbeats is indistinguishable
   /// from a stuck one. See docs/ROBUSTNESS.md.
@@ -148,9 +160,107 @@ struct ParallelOptions {
   snapshot::CheckpointOptions checkpoint;
 };
 
-/// Runs the full enumeration of `graph` with `factory`-produced workers.
-/// Returns the merged counters of all workers (including scheduler
-/// counters: steals, split_tasks, sink_flushes, busy/idle time).
+/// One run on a TaskRuntime: which tasks, with which workers, into which
+/// sink, under which controller, budget and frontier.
+struct ParallelJob {
+  WorkerFactory factory;
+  ParallelOptions options;
+  ResultSink* sink = nullptr;
+
+  /// Seed tasks (EncodeTask words; a durable job's are its frontier's live
+  /// tasks), dealt round-robin over the workers' deques in this order.
+  /// Each owner pops the seed dealt to it last first; thieves take the
+  /// first.
+  std::vector<uint64_t> seeds;
+
+  /// Fired exactly once, after the job's last task retired and every
+  /// worker sink was flushed, with the merged counters and the job's
+  /// first contained failure (null when none). Runs on a runtime worker,
+  /// or inside Submit for a job with no task or a runtime already shut
+  /// down.
+  std::function<void(const EnumStats&, std::exception_ptr)> done;
+};
+
+/// A fixed fleet of workers executing any number of concurrent jobs.
+///
+/// Each job has its own per-worker deques (worker w owns deque w of every
+/// job), its own failure latch and monitor thread (watchdog,
+/// checkpointer), and counts its outstanding tasks; the worker that
+/// retires the last one finishes the job. Fairness: at every pickup a
+/// worker rotates to the next job with claimable work — it pops its own
+/// deque of that job, then steals from the job's other deques — so a
+/// giant job cannot starve a small one.
+/// Workers that find no work anywhere block on a condition variable until
+/// a job is submitted or finished, a split pushes shards, or Shutdown.
+///
+/// Isolation per task: the worker binds the job's MemoryBudget to its
+/// thread, polls the job's controller (a stopped job's remaining tasks
+/// retire as no-ops), and contains exceptions in the job's latch — a
+/// failure becomes Termination::kInternal on the job's controller and
+/// never touches another job.
+class TaskRuntime {
+ public:
+  /// Starts `threads` workers (at least 1).
+  explicit TaskRuntime(unsigned threads);
+
+  /// Shutdown()s.
+  ~TaskRuntime();
+
+  TaskRuntime(const TaskRuntime&) = delete;
+  TaskRuntime& operator=(const TaskRuntime&) = delete;
+
+  unsigned threads() const { return num_workers_; }
+
+  /// Seeds and starts `job`. Submitting to a runtime already shut down
+  /// cancels the job (Termination::kCancelled on its controller) and
+  /// finishes it on the calling thread, as does a job with no task.
+  void Submit(ParallelJob job);
+
+  /// Finishes every submitted job, then stops and joins the workers.
+  /// Idempotent.
+  void Shutdown();
+
+ private:
+  struct Job;
+
+  void WorkerLoop(unsigned w);
+  void RunTask(Job& job, unsigned w, uint64_t word, bool stolen);
+  /// Flushes, snapshots and merges a job whose tasks all retired, removes
+  /// it from the runtime, and fires its `done`.
+  void FinishJob(Job& job);
+  /// Bumps the epoch and wakes blocked workers: jobs_ changed, a split
+  /// pushed shards, or Shutdown.
+  void Wake();
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<std::shared_ptr<Job>> jobs_;  ///< guarded by mu_
+  bool stop_ = false;                       ///< guarded by mu_
+  /// Bumped under mu_ by Wake. Workers re-copy jobs_ when it moves (so
+  /// claiming takes no lock) and block only while it still equals the
+  /// value read before their last failed claim.
+  std::atomic<uint64_t> epoch_{0};
+  /// Workers currently without a task. Any starving worker lowers the
+  /// split bar for everyone.
+  std::atomic<unsigned> idle_workers_{0};
+
+  /// Set before any worker starts (workers read it; workers_ is still
+  /// growing while they do).
+  const unsigned num_workers_;
+  std::vector<std::thread> workers_;
+};
+
+/// The seed tasks of a run, in ascending order: the frontier's live tasks,
+/// or (frontier null) the whole subtrees of right vertices [0, num_seeds).
+std::vector<uint64_t> SeedTasks(uint64_t num_seeds,
+                                const snapshot::TaskFrontier* frontier);
+
+/// Runs the full enumeration of `graph` with `factory`-produced workers as
+/// one job on a runtime of `options.threads` workers (fewer when there are
+/// fewer seed tasks), seeded heaviest-subtree-first. Returns the merged
+/// counters of all workers (including scheduler counters: steals,
+/// split_tasks, sink_flushes, busy/idle time). A contained failure is
+/// rethrown when there is no controller to report it to.
 EnumStats ParallelEnumerate(const BipartiteGraph& graph,
                             const WorkerFactory& factory,
                             const ParallelOptions& options, ResultSink* sink);

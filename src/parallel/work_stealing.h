@@ -81,9 +81,10 @@ static_assert(DecodeTask(0xdeadbeef1234ffffULL).v == 0xdeadbeefu &&
 /// heaviest-last seeding the owner starts on its heaviest subtree while
 /// thieves drain the light tail.
 ///
-/// Each slot is padded to its own cache line: top and bottom move through
-/// the ring from opposite ends, and unpadded neighbouring slots would
-/// false-share between the owner's store and a thief's load.
+/// Slots are packed 8 to a cache line: the owner and a thief only touch
+/// neighbouring slots when the deque is nearly empty, while a padded slot
+/// per line costs 64 bytes per queued task — every concurrent job on a
+/// shared runtime keeps one deque per worker.
 class TaskDeque {
  public:
   /// `capacity_hint` sizes the initial ring (rounded up to a power of
@@ -109,8 +110,7 @@ class TaskDeque {
   size_t SizeEstimate() const;
 
  private:
-  /// One task per cache line (see class comment).
-  struct alignas(64) Slot {
+  struct Slot {
     std::atomic<uint64_t> word{0};
   };
 

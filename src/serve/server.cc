@@ -30,8 +30,8 @@ namespace mbe::serve {
 namespace internal {
 
 /// Thread-safe ResultSink that turns the (already id-translated) emissions
-/// of one session into kResultBatch frames. Shared by all pool workers of
-/// the session through their per-worker BufferedSinks, so emissions arrive
+/// of one session into kResultBatch frames. Shared by all runtime workers
+/// of the session through their per-worker BufferedSinks, so emissions arrive
 /// mostly as batches. A failed write latches the sink: further emissions
 /// are dropped and ShouldStop() turns true, stopping the enumeration
 /// instead of computing results nobody can receive.
@@ -64,9 +64,8 @@ class WireSink : public ResultSink {
     if (pending_.batch.size() >= batch_results_) FlushLocked();
   }
 
-  /// Lock-free: polled from pool workers on hot paths (and cached into
-  /// ActiveSession::stopped), so it must never contend with an in-flight
-  /// flush.
+  /// Lock-free: polled from runtime workers on hot paths (every task
+  /// pickup checks it), so it must never contend with an in-flight flush.
   bool ShouldStop() const override {
     return failed_.load(std::memory_order_acquire);
   }
@@ -121,7 +120,7 @@ struct Server::Connection {
   std::thread reader;
 
   /// The only thread that ever blocks in send(): the reader, the session
-  /// starters, and every pool worker just enqueue frames (WriteFrame), so
+  /// starters, and every runtime worker just enqueue frames (WriteFrame), so
   /// a client that stops reading backs up this connection's queue instead
   /// of wedging whoever produced the frame.
   std::thread writer;
@@ -258,7 +257,7 @@ util::Status Server::Start() {
   pool_threads_ = options_.pool_threads != 0
                       ? options_.pool_threads
                       : std::max(1u, std::thread::hardware_concurrency());
-  pool_ = std::make_unique<SessionPool>(pool_threads_);
+  runtime_ = std::make_unique<TaskRuntime>(pool_threads_);
 
   if (!options_.unix_path.empty()) {
     sockaddr_un addr{};
@@ -339,9 +338,10 @@ void Server::Stop() {
   for (auto& conn : connections) {
     if (conn->reader.joinable()) conn->reader.join();
   }
-  // Every submitted session finishes here (cancelled ones as no-op
-  // sweeps); done callbacks write to the now-dead connections harmlessly.
-  if (pool_ != nullptr) pool_->Shutdown();
+  // Every submitted session finishes here (cancelled ones retire their
+  // tasks as no-ops); done callbacks write to the now-dead connections
+  // harmlessly.
+  if (runtime_ != nullptr) runtime_->Shutdown();
   connections.clear();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
@@ -626,7 +626,7 @@ void Server::StartSession(const std::shared_ptr<Connection>& conn,
   }
   RunOptions opts;
   opts.algorithm = static_cast<Algorithm>(msg.algorithm);
-  opts.threads = 1;  // the shared pool brings the execution threads
+  opts.threads = 1;  // the shared task runtime brings the threads
   opts.mbet.min_left = msg.min_left;
   opts.mbet.min_right = msg.min_right;
   opts.control.max_results = msg.max_results;
@@ -703,8 +703,8 @@ void Server::RunStarter(const std::shared_ptr<Connection>& conn,
   }
   conn->WriteFrame(SessionStartedMsg{session_id});
   sessions_started_.fetch_add(1, std::memory_order_relaxed);
-  pool_->Submit(rec->session, [this, conn, rec,
-                               session_id](const RunResult& result) {
+  rec->session->Submit(*runtime_, [this, conn, rec,
+                                   session_id](const RunResult& result) {
     rec->sink->Flush();  // final partial batch precedes kSessionDone
     SessionDoneMsg done;
     done.session_id = session_id;

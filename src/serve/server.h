@@ -8,9 +8,10 @@
 #include <thread>
 #include <vector>
 
+#include "api/session.h"
+#include "parallel/parallel_mbe.h"
 #include "serve/admission.h"
 #include "serve/registry.h"
-#include "serve/session_pool.h"
 #include "serve/wire.h"
 
 /// \file
@@ -19,8 +20,10 @@
 /// Listens on a Unix-domain socket or a loopback TCP port, speaks the
 /// serve/wire.h protocol, and multiplexes any number of client connections
 /// onto one `GraphRegistry` (graphs load once, every session shares the
-/// immutable engine) and one `SessionPool` (a fixed worker fleet executing
-/// all sessions' subtree tasks round-robin). `AdmissionController` bounds
+/// immutable engine) and one `TaskRuntime` (a fixed worker fleet that runs
+/// every session as a job, rotating between jobs at each task pickup,
+/// with stealing and hub-subtree splitting inside each job; see
+/// parallel/parallel_mbe.h). `AdmissionController` bounds
 /// concurrency: past `max_active_sessions` running + `max_queued_sessions`
 /// waiting, new sessions get a typed kRejected frame instead of latency.
 ///
@@ -29,7 +32,7 @@
 /// servicing kCancelSession frames while a start is queued. Results stream
 /// back as kResultBatch frames through a bounded outbound queue drained by
 /// one dedicated writer thread per connection (frames from concurrent
-/// sessions interleave, each frame is atomic). Pool workers never touch
+/// sessions interleave, each frame is atomic). Runtime workers never touch
 /// the socket: a slow-reading client backs up only its own queue, and
 /// overflowing it (or a send timeout) fails just that connection.
 ///
@@ -51,7 +54,8 @@ struct ServerOptions {
   /// the bound port back with tcp_port()).
   uint16_t tcp_port = 0;
 
-  /// Session-pool worker threads (0 = hardware concurrency).
+  /// Task-runtime worker threads shared by all sessions (0 = hardware
+  /// concurrency).
   unsigned pool_threads = 0;
 
   /// Admission bounds: sessions running / waiting before kRejected.
@@ -60,7 +64,7 @@ struct ServerOptions {
 
   /// Cap on bytes queued toward one connection's writer thread. A client
   /// that stops reading (TCP backpressure) fills its queue and is then
-  /// dropped — its sessions cancel — instead of blocking pool workers.
+  /// dropped — its sessions cancel — instead of blocking runtime workers.
   size_t max_outbound_bytes = 64u << 20;
   /// SO_SNDTIMEO on client sockets: a single blocked send() past this is
   /// treated as connection failure. 0 disables the timeout.
@@ -81,7 +85,7 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens, and starts the accept loop and the session pool.
+  /// Binds, listens, and starts the accept loop and the task runtime.
   util::Status Start();
 
   /// The bound TCP port (after Start, TCP mode only).
@@ -104,7 +108,7 @@ class Server {
   bool idle() const;
 
   /// Full shutdown: BeginDrain, close the listener and every connection,
-  /// join all threads, drain the pool. Idempotent.
+  /// join all threads, drain the task runtime. Idempotent.
   void Stop();
 
  private:
@@ -118,7 +122,7 @@ class Server {
   void StartSession(const std::shared_ptr<Connection>& conn,
                     StartSessionMsg msg);
   /// Starter-thread body: waits out admission, prepares the session, and
-  /// submits it to the pool (or writes the typed rejection).
+  /// submits it to the task runtime (or writes the typed rejection).
   void RunStarter(const std::shared_ptr<Connection>& conn,
                   const std::shared_ptr<internal::SessionRec>& rec,
                   uint64_t session_id);
@@ -132,7 +136,7 @@ class Server {
 
   GraphRegistry registry_;
   AdmissionController admission_;
-  std::unique_ptr<SessionPool> pool_;
+  std::unique_ptr<TaskRuntime> runtime_;
 
   int listen_fd_ = -1;
   uint16_t bound_tcp_port_ = 0;

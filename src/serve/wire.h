@@ -108,7 +108,7 @@ struct HelloMsg {
 struct HelloOkMsg {
   uint32_t version = kProtocolVersion;
   uint32_t max_payload = kMaxPayloadBytes;
-  /// Worker threads of the server's shared session pool (diagnostic).
+  /// Worker threads of the server's shared task runtime (diagnostic).
   uint32_t pool_threads = 0;
 };
 
@@ -142,8 +142,8 @@ struct LoadOkMsg {
 };
 
 /// Starts one enumeration session over a registered graph. The session
-/// runs on the server's shared pool; `threads` is not a knob — fairness
-/// across sessions is the server's job.
+/// runs on the server's shared task runtime; `threads` is not a knob —
+/// fairness across sessions is the server's job.
 struct StartSessionMsg {
   std::string graph;
   uint8_t algorithm = 0;  ///< mbe::Algorithm numeric value (0 = kMbet)

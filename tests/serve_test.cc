@@ -3,7 +3,7 @@
 // wire client. Covers the handshake, graph upload, concurrent-session
 // digest identity, per-session cancel/deadline/budget containment,
 // admission rejection, drain, and protocol-error handling; and how the
-// shared SessionPool finishes a session submitted around its Shutdown.
+// shared TaskRuntime finishes a session submitted around its Shutdown.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +25,7 @@
 #include "core/sink.h"
 #include "gen/generators.h"
 #include "serve/server.h"
-#include "serve/session_pool.h"
+#include "parallel/parallel_mbe.h"
 #include "serve/wire.h"
 
 namespace mbe::serve {
@@ -807,10 +807,11 @@ TEST(ServeTest, CancelOfUnknownSessionIsIgnored) {
             static_cast<uint8_t>(Termination::kComplete));
 }
 
-// --- SessionPool::Submit around Shutdown ---------------------------------
+// --- Session::Submit around TaskRuntime::Shutdown ------------------------
 
 // A prepared session with no subtree task (empty right side): Submit
-// finishes it inline, so whether the pool had stopped decides the outcome.
+// finishes it inline, so whether the runtime had stopped decides the
+// outcome.
 std::shared_ptr<Session> EmptySession(ResultSink* sink) {
   auto engine =
       Engine::Build(BipartiteGraph::FromEdges(4, 0, {}), GraphOptions{});
@@ -822,28 +823,30 @@ std::shared_ptr<Session> EmptySession(ResultSink* sink) {
   return session;
 }
 
-TEST(SessionPoolSubmitTest, EmptySessionBeforeShutdownCompletes) {
-  SessionPool pool(2);
+TEST(RuntimeSubmitTest, EmptySessionBeforeShutdownCompletes) {
+  TaskRuntime runtime(2);
   CountSink sink;
   int done = 0;
   RunResult result;
-  pool.Submit(EmptySession(&sink), [&](const RunResult& r) {
+  std::shared_ptr<Session> session = EmptySession(&sink);
+  session->Submit(runtime, [&](const RunResult& r) {
     result = r;
     ++done;
   });
-  pool.Shutdown();
+  runtime.Shutdown();
   EXPECT_EQ(done, 1);
   EXPECT_EQ(result.termination, Termination::kComplete);
   EXPECT_EQ(sink.count(), 0u);
 }
 
-TEST(SessionPoolSubmitTest, EmptySessionAfterShutdownIsCancelled) {
-  SessionPool pool(2);
-  pool.Shutdown();
+TEST(RuntimeSubmitTest, EmptySessionAfterShutdownIsCancelled) {
+  TaskRuntime runtime(2);
+  runtime.Shutdown();
   CountSink sink;
   int done = 0;
   RunResult result;
-  pool.Submit(EmptySession(&sink), [&](const RunResult& r) {
+  std::shared_ptr<Session> session = EmptySession(&sink);
+  session->Submit(runtime, [&](const RunResult& r) {
     result = r;
     ++done;
   });
@@ -851,18 +854,18 @@ TEST(SessionPoolSubmitTest, EmptySessionAfterShutdownIsCancelled) {
   EXPECT_EQ(result.termination, Termination::kCancelled);
 }
 
-TEST(SessionPoolSubmitTest, EmptySessionRacingShutdownFinishesOnce) {
-  // Submit reads the pool's stop flag while Shutdown sets it from another
-  // thread: either order is fine, but done fires exactly once and the
-  // outcome is one of the two orders'.
+TEST(RuntimeSubmitTest, EmptySessionRacingShutdownFinishesOnce) {
+  // Submit reads the runtime's stop flag while Shutdown sets it from
+  // another thread: either order is fine, but done fires exactly once and
+  // the outcome is one of the two orders'.
   for (int round = 0; round < 20; ++round) {
-    SessionPool pool(1);
+    TaskRuntime runtime(1);
     CountSink sink;
     std::shared_ptr<Session> session = EmptySession(&sink);
     std::atomic<int> done{0};
     RunResult result;
-    std::thread stopper([&pool] { pool.Shutdown(); });
-    pool.Submit(session, [&](const RunResult& r) {
+    std::thread stopper([&runtime] { runtime.Shutdown(); });
+    session->Submit(runtime, [&](const RunResult& r) {
       result = r;
       done.fetch_add(1);
     });

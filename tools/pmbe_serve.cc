@@ -84,7 +84,8 @@ int main(int argc, char** argv) {
                "loopback TCP port (used when --unix is empty; 0 = ephemeral, "
                "printed at startup)");
   flags.AddInt("pool-threads", 0,
-               "session-pool worker threads (0 = hardware concurrency)");
+               "task-runtime worker threads shared by all sessions "
+               "(0 = hardware concurrency)");
   flags.AddInt("max-active", 8, "sessions running concurrently");
   flags.AddInt("max-queued", 64, "sessions waiting before kRejected");
   flags.AddDouble("idle-timeout", 0,
