@@ -1,17 +1,13 @@
 // B13 — engine head-to-head: MBET (prefix tree) vs iMBEA (baseline) vs BBK
-// (pivot-free left extension) across the dataset registry, plus the
-// engine-aware auto-tuner's pick on every dataset.
-//
-// Two acceptance claims live here (ISSUE 9 / docs/TUNING.md):
-//  * BBK is faster than MBET on the sparse/skewed registry shapes (wall
-//    time, same output set — count-identity is asserted every run);
-//  * `--tune` selects the faster of the two interchangeable engines on
-//    >= 90% of registry entries (ties within 10% count for either side —
-//    the registry re-materializes per run, so sub-10% gaps are noise).
+// (pivot-free left extension) across the dataset registry. Every run
+// asserts count identity across the three engines; the timings show where
+// BBK's pivot-free traversal does or does not beat MBET's prefix tree
+// (docs/ALGORITHM.md, "BBK").
 //
 // The JSON artifact (bench/BENCH_engines.json) records per dataset: wall
-// time and node counts per engine, the tuner's rule and engine pick, and
-// the summary fractions the CI smoke leg and docs quote.
+// time and node counts per engine, and how many datasets BBK at least ties
+// MBET on (within 10%; the registry re-materializes per run, so sub-10%
+// gaps are noise).
 
 #include <algorithm>
 #include <cstdio>
@@ -19,7 +15,6 @@
 #include <vector>
 
 #include "bench/harness.h"
-#include "core/tuner.h"
 #include "util/stats.h"
 
 namespace {
@@ -64,7 +59,7 @@ int main(int argc, char** argv) {
   const unsigned threads = static_cast<unsigned>(flags.GetInt("threads"));
 
   bench::PrintBanner(
-      "B13", "engine head-to-head: MBET vs iMBEA vs BBK + tuner pick");
+      "B13", "engine head-to-head: MBET vs iMBEA vs BBK");
 
   struct EngineCol {
     const char* label;
@@ -77,10 +72,9 @@ int main(int argc, char** argv) {
   };
 
   bench::Table table({"dataset", "bicliques", "mbet", "imbea", "bbk",
-                      "bbk/mbet", "rule", "pick", "tuned", "pick ok"});
+                      "bbk/mbet"});
   std::vector<JsonRow> rows;
-  size_t tuner_correct = 0, tuner_total = 0;
-  size_t bbk_wins_sparse = 0, sparse_total = 0;
+  size_t bbk_ties = 0;
   bool counts_identical = true;
 
   for (const std::string& name :
@@ -128,33 +122,7 @@ int main(int argc, char** argv) {
     const double bbk_vs_mbet =
         seconds[2] > 0 ? seconds[0] / seconds[2] : 0.0;
     row.push_back(Fmt("%.2fx", bbk_vs_mbet));
-
-    Options tuned;
-    tuned.auto_tune = true;
-    tuned.threads = threads;
-    const bench::RunOutcome tuned_run = best_of(tuned);
-    const TunerRule rule =
-        static_cast<TunerRule>(tuned_run.stats.tuner_rule);
-    const TunerEngine pick =
-        static_cast<TunerEngine>(tuned_run.stats.tuned_algorithm);
-    row.push_back(TunerRuleName(rule));
-    row.push_back(TunerEngineName(pick));
-    row.push_back(bench::TimeCell(tuned_run, budget));
-
-    // The pick is "correct" when the chosen engine's measured time is
-    // within 10% of the faster of the two (so ties count for either side).
-    const double t_pick =
-        pick == TunerEngine::kBbk ? seconds[2] : seconds[0];
-    const double t_best = std::min(seconds[0], seconds[2]);
-    const bool pick_ok =
-        pick != TunerEngine::kNone && t_pick <= t_best * 1.10;
-    ++tuner_total;
-    tuner_correct += pick_ok ? 1 : 0;
-    row.push_back(pick_ok ? "yes" : "NO");
-    if (rule == TunerRule::kSparse || rule == TunerRule::kSkewed) {
-      ++sparse_total;
-      bbk_wins_sparse += seconds[2] <= seconds[0] * 1.10 ? 1 : 0;
-    }
+    bbk_ties += seconds[2] <= seconds[0] * 1.10 ? 1 : 0;
     table.AddRow(std::move(row));
 
     rows.push_back(
@@ -166,26 +134,14 @@ int main(int argc, char** argv) {
           {"mbet_nodes", std::to_string(nodes[0])},
           {"imbea_nodes", std::to_string(nodes[1])},
           {"bbk_nodes", std::to_string(nodes[2])},
-          {"bbk_speedup_vs_mbet", Fmt("%.3f", bbk_vs_mbet)},
-          {"tuner_rule", TunerRuleName(rule)},
-          {"tuner_engine", TunerEngineName(pick)},
-          {"tuned_seconds", Fmt("%.6f", tuned_run.seconds)},
-          {"tuner_pick_ok", pick_ok ? "yes" : "no"}}});
+          {"bbk_speedup_vs_mbet", Fmt("%.3f", bbk_vs_mbet)}}});
   }
   bench::EmitTable(table, flags);
 
-  const double correct_frac =
-      tuner_total > 0
-          ? static_cast<double>(tuner_correct) /
-                static_cast<double>(tuner_total)
-          : 0.0;
   std::printf("\ncounts identical across engines: %s\n",
               counts_identical ? "yes" : "NO");
-  std::printf("tuner picked the faster engine on %zu/%zu datasets "
-              "(%.0f%%; bar: 90%%)\n",
-              tuner_correct, tuner_total, correct_frac * 100.0);
-  std::printf("BBK at least ties MBET on %zu/%zu sparse/skewed datasets\n",
-              bbk_wins_sparse, sparse_total);
+  std::printf("BBK at least ties MBET (within 10%%) on %zu/%zu datasets\n",
+              bbk_ties, rows.size());
 
   if (!bench::JsonRecordingAllowed(flags)) return 1;
   if (const std::string json = flags.GetString("json"); !json.empty()) {
@@ -201,18 +157,16 @@ int main(int argc, char** argv) {
     std::fprintf(out, "{\n");
     bench::WriteJsonContext(
         out, argv[0], flag_summary,
-        "per-dataset wall time and node counts for the three engines "
-        "(count-identity asserted at run time), plus the auto-tuner's rule "
-        "and engine pick. tuner_correct_fraction is the >= 0.90 acceptance "
-        "bar: the tuned engine's time within 10% of the faster of "
-        "MBET/BBK. Engines differ in traversal, not output: the digest "
-        "matrix (work_stealing_test, pmbe_selfcheck) proves the sets "
-        "identical.");
+        "per-dataset wall time (minimum over the repeats) and node counts "
+        "for the three engines (count-identity asserted at run time). "
+        "bbk_ties counts the datasets where BBK's time is within 10% of "
+        "MBET's or better. Engines differ in traversal, not output: the "
+        "digest matrix (work_stealing_test, pmbe_selfcheck) proves the "
+        "sets identical.");
     std::fprintf(out, ",\n  \"counts_identical\": %s,\n",
                  counts_identical ? "true" : "false");
-    std::fprintf(out, "  \"tuner_correct_fraction\": %.3f,\n", correct_frac);
-    std::fprintf(out, "  \"tuner_correct\": %zu,\n", tuner_correct);
-    std::fprintf(out, "  \"tuner_total\": %zu,\n", tuner_total);
+    std::fprintf(out, "  \"bbk_ties\": %zu,\n", bbk_ties);
+    std::fprintf(out, "  \"datasets_total\": %zu,\n", rows.size());
     WriteRows(out, "datasets", rows);
     std::fprintf(out, "\n}\n");
     std::fclose(out);

@@ -9,8 +9,8 @@
 # cancellation terminates promptly and cleanly under the sanitizers. Then
 # the configuration matrices: the set-representation legs
 # (PMBE_FORCE_BITMAP on/off), the kernel-dispatch legs (scalar pin via
-# PMBE_FORCE_SCALAR=1, AVX2 compiled out via -DPMBE_ENABLE_AVX2=OFF), the
-# tuner legs (default vs --tune) and the engine legs (mbet/imbea/bbk), all
+# PMBE_FORCE_SCALAR=1, AVX2 compiled out via -DPMBE_ENABLE_AVX2=OFF) and
+# the engine legs (mbet/imbea/bbk, plus BBK with forced bitmaps), all
 # required to enumerate identical bicliques; the fault-injection matrix
 # (-DPMBE_FAULT_INJECTION=ON + ASan: countdown sweep over every fault
 # point, chaos rounds, CLI/env arming, graph_io/frontier/wire fuzz
@@ -145,55 +145,24 @@ if [[ "$scalar_count" != "${matrix_count[OFF]}" || \
 fi
 echo "kernel-dispatch matrix OK: $scalar_count bicliques in every leg"
 
-echo "=== tuner matrix: default vs --tune, every leg count-identical ==="
-# The workload-adaptive tuner (docs/TUNING.md) trades speed and memory,
-# never output: the same bicliques with the default knobs and with the
-# tuner choosing them (--tune) — under the sanitizers, on the
-# scalar-pinned table, and in the AVX2-compiled-out build. Reuses the
-# builds from the legs above.
-tune_ref=""
-for cfg in "" "--tune"; do
-  for leg in asan scalar noavx2; do
-    case "$leg" in
-      asan)   out=$("$BUILD_DIR/tools/pmbe" --dataset DBT --scale 0.2 \
-                    --stats=false $cfg) ;;
-      scalar) out=$(PMBE_FORCE_SCALAR=1 "$BUILD_DIR/tools/pmbe" --dataset DBT \
-                    --scale 0.2 --stats=false $cfg) ;;
-      noavx2) out=$("$NOAVX2_DIR/tools/pmbe" --dataset DBT --scale 0.2 \
-                    --stats=false $cfg) ;;
-    esac
-    count=$(echo "$out" | grep -o '[0-9]* maximal bicliques' | grep -o '[0-9]*')
-    [[ -n "$count" ]] || {
-      echo "FAIL: no biclique count from leg $leg (${cfg:-default})" >&2
-      exit 1
-    }
-    if [[ -z "$tune_ref" ]]; then
-      tune_ref="$count"
-    elif [[ "$count" != "$tune_ref" ]]; then
-      echo "FAIL: tuner matrix diverges: leg $leg (${cfg:-default}) found" \
-           "$count bicliques, reference found $tune_ref" >&2
-      exit 1
-    fi
-    echo "  [$leg, ${cfg:-default}] $count bicliques"
-  done
-done
-echo "tuner matrix OK: $tune_ref bicliques in every leg"
-
 echo "=== engine matrix: mbet / imbea / bbk count-identical on every leg ==="
 # The interchangeable engines (docs/ALGORITHM.md) must enumerate the same
 # set whatever the build: sanitized adaptive dispatch, the scalar-pinned
 # table, and the AVX2-compiled-out build. BBK's fixed candidate order and
-# witness-ordered Q scans change the traversal, never the output.
+# witness-ordered Q scans change the traversal, never the output; the
+# "bbk --bitmap_density 0" cell keeps BBK's L' in bitmaps at every node.
+# Reuses the builds from the legs above.
 engine_ref=""
-for algo in mbet imbea bbk; do
+for algo in mbet imbea bbk "bbk --bitmap_density 0"; do
   for leg in asan scalar noavx2; do
+    # $algo is unquoted on purpose: the last cell carries a second flag.
     case "$leg" in
       asan)   out=$("$BUILD_DIR/tools/pmbe" --dataset DBT --scale 0.2 \
-                    --algorithm "$algo" --stats=false) ;;
+                    --algorithm $algo --stats=false) ;;
       scalar) out=$(PMBE_FORCE_SCALAR=1 "$BUILD_DIR/tools/pmbe" --dataset DBT \
-                    --scale 0.2 --algorithm "$algo" --stats=false) ;;
+                    --scale 0.2 --algorithm $algo --stats=false) ;;
       noavx2) out=$("$NOAVX2_DIR/tools/pmbe" --dataset DBT --scale 0.2 \
-                    --algorithm "$algo" --stats=false) ;;
+                    --algorithm $algo --stats=false) ;;
     esac
     count=$(echo "$out" | grep -o '[0-9]* maximal bicliques' | grep -o '[0-9]*')
     [[ -n "$count" ]] || {

@@ -93,9 +93,6 @@ util::StatusOr<std::shared_ptr<const Engine>> Engine::Build(
 
   engine->work_ = std::move(work);
   engine->swapped_ = swapped;
-  // Profile the final (swapped/reduced/relabeled) graph: that is the
-  // orientation the enumerators — and so the tuner's decisions — see.
-  engine->profile_ = ProfileGraph(engine->work_, options.seed);
   engine->build_seconds_ = timer.Seconds();
   return std::shared_ptr<const Engine>(std::move(engine));
 }

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "api/options.h"
-#include "core/tuner.h"
 #include "graph/bipartite_graph.h"
 #include "util/status.h"
 
@@ -68,12 +67,6 @@ class Engine {
   /// Wall time Build spent preprocessing.
   double build_seconds() const { return build_seconds_; }
 
-  /// Sampled statistics of the preprocessed graph, computed once at build
-  /// time (core/tuner.h). Sessions running with RunOptions::auto_tune map
-  /// this through the tuner's decision table; it is also what
-  /// `pmbe --tune` reports.
-  const GraphProfile& profile() const { return profile_; }
-
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -90,7 +83,6 @@ class Engine {
   size_t original_num_left_ = 0;
   size_t original_num_right_ = 0;
   double build_seconds_ = 0;
-  GraphProfile profile_;
 };
 
 }  // namespace mbe

@@ -28,7 +28,6 @@ RunOptions Options::run_options() const {
   run.threads = threads;
   run.max_split = max_split;
   run.mbet = mbet;
-  run.auto_tune = auto_tune;
   run.control = control;
   run.max_memory_bytes = max_memory_bytes;
   run.watchdog_stall_seconds = watchdog_stall_seconds;
@@ -113,32 +112,5 @@ util::Status FindMaximumBiclique(const BipartiteGraph& graph,
   *best = sink.Take();
   return util::Status::Ok();
 }
-
-#if PMBE_ENABLE_DEPRECATED
-
-Algorithm ParseAlgorithm(const std::string& name) {
-  Algorithm algorithm = Algorithm::kMbet;
-  const util::Status status = ParseAlgorithm(name, &algorithm);
-  PMBE_CHECK_MSG(status.ok(), "%s", status.ToString().c_str());
-  return algorithm;
-}
-
-RunResult Enumerate(const BipartiteGraph& graph, const Options& options,
-                    ResultSink* sink) {
-  RunResult result;
-  const util::Status status = Enumerate(graph, options, sink, &result);
-  PMBE_CHECK_MSG(status.ok(), "%s", status.ToString().c_str());
-  return result;
-}
-
-Biclique FindMaximumBiclique(const BipartiteGraph& graph,
-                             const Options& options) {
-  Biclique best;
-  const util::Status status = FindMaximumBiclique(graph, options, &best);
-  PMBE_CHECK_MSG(status.ok(), "%s", status.ToString().c_str());
-  return best;
-}
-
-#endif  // PMBE_ENABLE_DEPRECATED
 
 }  // namespace mbe

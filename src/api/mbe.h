@@ -1,8 +1,6 @@
 #ifndef PMBE_API_MBE_H_
 #define PMBE_API_MBE_H_
 
-#include <string>
-
 #include "api/engine.h"
 #include "api/options.h"
 #include "api/session.h"
@@ -46,18 +44,6 @@
 /// they return OK with `RunResult::termination` describing why the run
 /// stopped, and the sink holds the valid prefix of results emitted before
 /// the stop.
-///
-/// The abort-on-error shims of the pre-session API remain available behind
-/// `PMBE_ENABLE_DEPRECATED` (default on; configure with
-/// `-DPMBE_ENABLE_DEPRECATED=OFF` to hard-remove them). They are marked
-/// `[[deprecated]]` — prefer the `util::Status` overloads, which report
-/// invalid input as a recoverable error.
-
-/// Compile-time gate for the abort-on-error legacy shims. The build
-/// defines it to 0 when the CMake option PMBE_ENABLE_DEPRECATED is OFF.
-#ifndef PMBE_ENABLE_DEPRECATED
-#define PMBE_ENABLE_DEPRECATED 1
-#endif
 
 namespace mbe {
 
@@ -93,13 +79,6 @@ struct Options {
   /// Ablation switches forwarded to MBET (trie / aggregation / Q pruning),
   /// plus the size thresholds min_left/min_right.
   MbetOptions mbet;
-
-  /// Workload-adaptive auto-tuning (core/tuner.h, docs/TUNING.md): pick
-  /// `mbet.bitmap_density` and `max_split` from the engine's sampled
-  /// graph profile instead of the fields above. Results are
-  /// byte-identical either way; the decision is recorded in
-  /// `RunResult::stats` (auto_tuned / tuned_*).
-  bool auto_tune = false;
 
   /// When size thresholds are set (mbet.min_left/min_right > 1) and the
   /// algorithm is MBET/MBETM, peel the graph to its (min_left, min_right)-
@@ -187,32 +166,6 @@ uint64_t CountMaximalBicliques(const BipartiteGraph& graph,
 util::Status FindMaximumBiclique(const BipartiteGraph& graph,
                                  const Options& options, Biclique* best,
                                  RunResult* result = nullptr);
-
-#if PMBE_ENABLE_DEPRECATED
-
-/// Legacy shim: parses like the Status overload but aborts on unknown
-/// names.
-[[deprecated(
-    "aborts on unknown names; use ParseAlgorithm(name, &algorithm), which "
-    "returns util::Status")]]
-Algorithm ParseAlgorithm(const std::string& name);
-
-/// Legacy shim: like the Status overload but aborts on invalid options or
-/// a null sink.
-[[deprecated(
-    "aborts on invalid options; use Enumerate(graph, options, sink, "
-    "&result), which returns util::Status")]]
-RunResult Enumerate(const BipartiteGraph& graph, const Options& options,
-                    ResultSink* sink);
-
-/// Legacy shim: aborts on invalid options.
-[[deprecated(
-    "aborts on invalid options; use FindMaximumBiclique(graph, options, "
-    "&best, &result), which returns util::Status")]]
-Biclique FindMaximumBiclique(const BipartiteGraph& graph,
-                             const Options& options);
-
-#endif  // PMBE_ENABLE_DEPRECATED
 
 }  // namespace mbe
 

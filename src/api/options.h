@@ -120,16 +120,6 @@ struct RunOptions {
   /// orientation; the session swaps them when the engine swapped sides.
   MbetOptions mbet;
 
-  /// Workload-adaptive auto-tuning (core/tuner.h, docs/TUNING.md): the
-  /// session maps the engine's sampled graph profile through the tuner's
-  /// decision table and overrides `mbet.bitmap_density` and `max_split`
-  /// with its picks (the fields above keep their values; only the
-  /// effective run configuration changes).
-  /// The decision is recorded in EnumStats::auto_tuned / tuned_*. Results
-  /// are byte-identical under any decision — the tuned knobs trade speed
-  /// and memory, never output.
-  bool auto_tune = false;
-
   /// Run control: cooperative cancellation, wall-clock deadline, result /
   /// node budgets, and periodic progress reporting (core/run_control.h).
   /// Default-constructed control is inert and costs nothing.

@@ -81,13 +81,17 @@ class TranslatingSink : public ResultSink {
   bool swapped_;
 };
 
-/// SubtreeWorker adapters. Each worker engine polls the run's shared
-/// controller (may be null), so any worker tripping a limit stops all
-/// workers *of that session* — and nothing else.
-class MbetWorker : public SubtreeWorker {
+/// SubtreeWorker adapter over an engine with a subtree decomposition and
+/// split-at-pickup sharding: MBET, the MBEA family and BBK. Each worker
+/// engine polls the run's shared controller (may be null), so any worker
+/// tripping a limit stops all workers *of that session* — and nothing
+/// else.
+template <typename Enumerator>
+class SubtreeEngineWorker : public SubtreeWorker {
  public:
-  MbetWorker(const BipartiteGraph& graph, const MbetOptions& options,
-             RunController* controller)
+  template <typename EngineOptions>
+  SubtreeEngineWorker(const BipartiteGraph& graph,
+                      const EngineOptions& options, RunController* controller)
       : engine_(graph, options) {
     engine_.SetRunController(controller);
   }
@@ -105,64 +109,12 @@ class MbetWorker : public SubtreeWorker {
   EnumStats stats() const override { return engine_.stats(); }
 
  private:
-  MbetEnumerator engine_;
-};
-
-/// Subtree worker over the MBEA family: plain MBEA (improved = false) and
-/// iMBEA (improved = true) share the enumerator and its shard support.
-class MbeaFamilyWorker : public SubtreeWorker {
- public:
-  MbeaFamilyWorker(const BipartiteGraph& graph, const MbeaOptions& options,
-                   RunController* controller)
-      : engine_(graph, options) {
-    engine_.SetRunController(controller);
-  }
-  void EnumerateSubtree(VertexId v, ResultSink* sink) override {
-    engine_.EnumerateSubtree(v, sink);
-  }
-  uint32_t SplitHint(VertexId v, uint32_t max_shards,
-                     uint64_t min_work) override {
-    return engine_.SplitHint(v, max_shards, min_work);
-  }
-  void EnumerateShard(VertexId v, uint32_t shard, uint32_t num_shards,
-                      ResultSink* sink) override {
-    engine_.EnumerateShard(v, shard, num_shards, sink);
-  }
-  EnumStats stats() const override { return engine_.stats(); }
-
- private:
-  MbeaEnumerator engine_;
-};
-
-/// Subtree worker over BBK; the engine's subtree decomposition and
-/// split-at-pickup sharding mirror the MBEA family's contract.
-class BbkWorker : public SubtreeWorker {
- public:
-  BbkWorker(const BipartiteGraph& graph, const BbkOptions& options,
-            RunController* controller)
-      : engine_(graph, options) {
-    engine_.SetRunController(controller);
-  }
-  void EnumerateSubtree(VertexId v, ResultSink* sink) override {
-    engine_.EnumerateSubtree(v, sink);
-  }
-  uint32_t SplitHint(VertexId v, uint32_t max_shards,
-                     uint64_t min_work) override {
-    return engine_.SplitHint(v, max_shards, min_work);
-  }
-  void EnumerateShard(VertexId v, uint32_t shard, uint32_t num_shards,
-                      ResultSink* sink) override {
-    engine_.EnumerateShard(v, shard, num_shards, sink);
-  }
-  EnumStats stats() const override { return engine_.stats(); }
-
- private:
-  BbkEnumerator engine_;
+  Enumerator engine_;
 };
 
 /// Adapter for the algorithms without a subtree decomposition: the whole
-/// enumeration is one monolithic task (Session::monolithic()), executed as
-/// "subtree 0".
+/// enumeration is one monolithic task (Session::task_count() is 1),
+/// executed as "subtree 0".
 template <typename Enumerator>
 class WholeGraphWorker : public SubtreeWorker {
  public:
@@ -238,48 +190,7 @@ util::Status Session::PrepareImpl(ResultSink* sink, bool force_controller) {
     std::swap(effective_mbet_.min_left, effective_mbet_.min_right);
   }
   effective_mbet_.recompute_locals = options_.algorithm == Algorithm::kMbetM;
-  effective_max_split_ = options_.max_split;
-  effective_algorithm_ = options_.algorithm;
-
-  // Workload-adaptive tuning: map the engine's build-time graph profile
-  // through the decision table and override the *effective* knobs. The
-  // caller's RunOptions stay untouched; the decision is recorded in the
-  // run's stats so `--stats` / bench JSON can show what actually ran.
-  // Every decision preserves the enumerated result set — the knobs trade
-  // speed and memory, and the engine pick below swaps between two engines
-  // proven set-identical by the digest matrix.
-  if (options_.auto_tune) {
-    const TunerDecision tuned = Tune(engine_->profile());
-    effective_mbet_.bitmap_density = tuned.bitmap_density;
-    effective_max_split_ = tuned.max_split;
-    // Engine selection is honored only where MBET and BBK are
-    // interchangeable: a plain enumeration query (no size thresholds, no
-    // baked core reduction, no branch-and-bound watermark) whose algorithm
-    // is already one of the two. A query that pinned a baseline engine
-    // (MBEA/iMBEA/...) keeps it — only its knobs are tuned. The pick is a
-    // pure function of (graph, options), so a resumed checkpoint and the
-    // original run derive the same engine.
-    const bool engine_selectable =
-        (options_.algorithm == Algorithm::kMbet ||
-         options_.algorithm == Algorithm::kBbk) &&
-        effective_mbet_.min_left == 1 && effective_mbet_.min_right == 1 &&
-        engine_->reduced_min_left() == 1 &&
-        engine_->reduced_min_right() == 1 &&
-        effective_mbet_.best_edges == nullptr;
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    if (engine_selectable && tuned.engine != TunerEngine::kNone) {
-      effective_algorithm_ = tuned.engine == TunerEngine::kBbk
-                                 ? Algorithm::kBbk
-                                 : Algorithm::kMbet;
-      stats_.tuned_algorithm = static_cast<uint64_t>(tuned.engine);
-    }
-    stats_.auto_tuned = 1;
-    stats_.tuned_max_split = tuned.max_split;
-    stats_.tuned_bitmap_density_x1000 =
-        static_cast<uint64_t>(tuned.bitmap_density * 1000.0);
-    stats_.tuner_rule = static_cast<uint64_t>(tuned.rule);
-  }
-  monolithic_ = !SupportsParallel(effective_algorithm_);
+  monolithic_ = !SupportsParallel(options_.algorithm);
 
   // Durable runs are frontier-driven (docs/CHECKPOINT.md): build the task
   // frontier before enumeration, either restoring a previous snapshot or
@@ -289,7 +200,7 @@ util::Status Session::PrepareImpl(ResultSink* sink, bool force_controller) {
   if (options_.checkpoint.enabled()) {
     const BipartiteGraph& work = engine_->graph();
     frontier_ = std::make_unique<snapshot::TaskFrontier>(
-        static_cast<uint8_t>(effective_algorithm_),
+        static_cast<uint8_t>(options_.algorithm),
         options_.checkpoint.shard_index, options_.checkpoint.shard_count,
         work);
     util::Status seeded = util::Status::Ok();
@@ -401,22 +312,23 @@ std::unique_ptr<SubtreeWorker> Session::MakeWorker() const {
       controller_.has_value() ? const_cast<RunController*>(&*controller_)
                               : nullptr;
   const BipartiteGraph& work = engine_->graph();
-  switch (effective_algorithm_) {
+  switch (options_.algorithm) {
     case Algorithm::kMbet:
     case Algorithm::kMbetM:
-      return std::make_unique<MbetWorker>(work, effective_mbet_, ctrl);
+      return std::make_unique<SubtreeEngineWorker<MbetEnumerator>>(
+          work, effective_mbet_, ctrl);
     case Algorithm::kImbea:
     case Algorithm::kOombeaLite:
       // The subtree decomposition runs iMBEA workers for both (the
       // unilateral-order specialization is whole-graph only) — same as the
       // parallel driver always did.
-      return std::make_unique<MbeaFamilyWorker>(
+      return std::make_unique<SubtreeEngineWorker<MbeaEnumerator>>(
           work, MbeaOptions{.improved = true}, ctrl);
     case Algorithm::kMbea:
-      return std::make_unique<MbeaFamilyWorker>(
+      return std::make_unique<SubtreeEngineWorker<MbeaEnumerator>>(
           work, MbeaOptions{.improved = false}, ctrl);
     case Algorithm::kBbk:
-      return std::make_unique<BbkWorker>(
+      return std::make_unique<SubtreeEngineWorker<BbkEnumerator>>(
           work, BbkOptions{.bitmap_density = effective_mbet_.bitmap_density},
           ctrl);
     case Algorithm::kMineLmbc:
@@ -431,7 +343,7 @@ ParallelOptions Session::JobOptions() {
   popts.threads = options_.threads;
   popts.controller = controller();
   popts.budget = &budget_;
-  popts.max_split = effective_max_split_;
+  popts.max_split = options_.max_split;
   popts.watchdog_stall_seconds = options_.watchdog_stall_seconds;
   popts.frontier = frontier_.get();
   popts.checkpoint = options_.checkpoint;
@@ -543,7 +455,7 @@ util::Status Session::Run(ResultSink* sink, RunResult* result) {
       stats_.MergeFrom(merged);
       return;
     }
-    switch (effective_algorithm_) {
+    switch (options_.algorithm) {
       case Algorithm::kMbet:
       case Algorithm::kMbetM: {
         MbetEnumerator engine(work, effective_mbet_);

@@ -177,8 +177,8 @@ class Session {
   RunController* controller();
 
   /// The one session-to-job conversion, shared by Run and Submit:
-  /// effective max_split, controller, budget, watchdog, and the durable
-  /// frontier and checkpoint options.
+  /// max_split, controller, budget, watchdog, and the durable frontier and
+  /// checkpoint options.
   ParallelOptions JobOptions();
 
   const uint64_t id_;
@@ -200,14 +200,6 @@ class Session {
   std::optional<ControlledSink> controlled_;
   ResultSink* run_sink_ = nullptr;
   MbetOptions effective_mbet_;  ///< thresholds swapped into engine space
-  uint32_t effective_max_split_ = 8;  ///< max_split, possibly auto-tuned
-  /// The engine that actually runs. Equals options_.algorithm except when
-  /// auto_tune's engine recommendation was honored (MBET ↔ BBK on
-  /// plain-enumeration queries; see PrepareImpl). Drives MakeWorker, the
-  /// single-threaded dispatch, and the durable frontier's algorithm tag —
-  /// deterministic per (graph, options), so a resumed checkpoint re-derives
-  /// the same engine.
-  Algorithm effective_algorithm_ = Algorithm::kMbet;
 
   /// Accounting snapshots taken in Prepare, diffed in Finish.
   uint64_t degradations_before_ = 0;

@@ -108,22 +108,6 @@ struct EnumStats {
   /// Frontier snapshots persisted by a checkpointing run (periodic plus
   /// the final one at drain; snapshot/checkpoint.h).
   uint64_t checkpoints_written = 0;
-  /// 1 when the workload-adaptive auto-tuner picked this run's knobs
-  /// (RunOptions::auto_tune; docs/TUNING.md). NOT additive: merged via
-  /// max, like the other run-level (not per-worker) fields below.
-  uint64_t auto_tuned = 0;
-  /// Knobs the tuner chose (valid only when auto_tuned; bitmap_density is
-  /// stored ×1000 to stay integral). NOT additive: merged via max.
-  uint64_t tuned_max_split = 0;
-  uint64_t tuned_bitmap_density_x1000 = 0;
-  /// Decision-table row the tuner matched (core/tuner.h TunerRule numeric
-  /// value; 0 = none). NOT additive: merged via max.
-  uint64_t tuner_rule = 0;
-  /// Engine the tuner selected AND the session honored (core/tuner.h
-  /// TunerEngine numeric value; 0 = no engine override — untuned run, or
-  /// the query pinned its engine / was not engine-interchangeable). NOT
-  /// additive: merged via max.
-  uint64_t tuned_algorithm = 0;
 
   void MergeFrom(const EnumStats& other) {
     nodes_expanded += other.nodes_expanded;
@@ -160,17 +144,6 @@ struct EnumStats {
     watchdog_checks += other.watchdog_checks;
     queue_wait_ns += other.queue_wait_ns;
     checkpoints_written += other.checkpoints_written;
-    if (other.auto_tuned > auto_tuned) auto_tuned = other.auto_tuned;
-    if (other.tuned_max_split > tuned_max_split) {
-      tuned_max_split = other.tuned_max_split;
-    }
-    if (other.tuned_bitmap_density_x1000 > tuned_bitmap_density_x1000) {
-      tuned_bitmap_density_x1000 = other.tuned_bitmap_density_x1000;
-    }
-    if (other.tuner_rule > tuner_rule) tuner_rule = other.tuner_rule;
-    if (other.tuned_algorithm > tuned_algorithm) {
-      tuned_algorithm = other.tuned_algorithm;
-    }
   }
 };
 

@@ -8,15 +8,20 @@
 
 namespace mbe {
 
-VertexOrder ParseVertexOrder(const std::string& name) {
-  if (name == "none") return VertexOrder::kNone;
-  if (name == "deg-asc") return VertexOrder::kDegreeAsc;
-  if (name == "deg-desc") return VertexOrder::kDegreeDesc;
-  if (name == "twohop") return VertexOrder::kTwoHopAsc;
-  if (name == "unilateral") return VertexOrder::kUnilateralAsc;
-  if (name == "random") return VertexOrder::kRandom;
-  PMBE_CHECK_MSG(false, "unknown vertex order '%s'", name.c_str());
-  return VertexOrder::kNone;
+util::Status ParseVertexOrder(const std::string& name, VertexOrder* order) {
+  PMBE_CHECK(order != nullptr);
+  for (VertexOrder candidate :
+       {VertexOrder::kNone, VertexOrder::kDegreeAsc, VertexOrder::kDegreeDesc,
+        VertexOrder::kTwoHopAsc, VertexOrder::kUnilateralAsc,
+        VertexOrder::kRandom}) {
+    if (name == VertexOrderName(candidate)) {
+      *order = candidate;
+      return util::Status::Ok();
+    }
+  }
+  return util::Status::InvalidArgument(
+      "unknown vertex order '" + name +
+      "' (expected none | deg-asc | deg-desc | twohop | unilateral | random)");
 }
 
 const char* VertexOrderName(VertexOrder order) {

@@ -6,6 +6,7 @@
 
 #include "graph/bipartite_graph.h"
 #include "util/common.h"
+#include "util/status.h"
 
 /// \file
 /// Right-side vertex orderings. The enumeration traverses right-side
@@ -31,8 +32,9 @@ enum class VertexOrder {
 };
 
 /// Parses a flag value ("none", "deg-asc", "deg-desc", "twohop", "unilateral",
-/// "random"); aborts on unknown names.
-VertexOrder ParseVertexOrder(const std::string& name);
+/// "random") into `*order`. Unknown names return InvalidArgument and leave
+/// `*order` untouched.
+util::Status ParseVertexOrder(const std::string& name, VertexOrder* order);
 
 /// Stable display name for an order.
 const char* VertexOrderName(VertexOrder order);

@@ -96,7 +96,7 @@ TEST(AnalysisIntegrationTest, OnePassCountShapeTopK) {
   ShapeSink shape;
   TopKSink topk(5);
   TeeSink tee({&count, &shape, &topk});
-  Enumerate(graph, Options(), &tee);
+  ASSERT_TRUE(Enumerate(graph, Options(), &tee, nullptr).ok());
 
   EXPECT_EQ(shape.shape().count, count.count());
   const auto top = topk.Take();
@@ -118,13 +118,13 @@ TEST(AnalysisIntegrationTest, ParallelTeeIsConsistent) {
   CountSink count;
   TopKSink topk(3);
   TeeSink tee({&count, &topk});
-  Enumerate(graph, options, &tee);
+  ASSERT_TRUE(Enumerate(graph, options, &tee, nullptr).ok());
 
   Options serial;
   TopKSink serial_topk(3);
   CountSink serial_count;
   TeeSink serial_tee({&serial_count, &serial_topk});
-  Enumerate(graph, serial, &serial_tee);
+  ASSERT_TRUE(Enumerate(graph, serial, &serial_tee, nullptr).ok());
 
   EXPECT_EQ(count.count(), serial_count.count());
   auto a = topk.Take();

@@ -26,7 +26,7 @@ BipartiteGraph LiteratureGraph() {
 
 std::vector<Biclique> MbetReference(const BipartiteGraph& graph) {
   CollectSink sink;
-  Enumerate(graph, Options(), &sink);
+  EXPECT_TRUE(Enumerate(graph, Options(), &sink, nullptr).ok());
   return sink.TakeSorted();
 }
 
@@ -51,7 +51,7 @@ TEST(BbkEngineTest, OutputIdenticalToMbetAcrossFamilies) {
   };
   for (const BipartiteGraph& graph : graphs) {
     FingerprintSink ref;
-    Enumerate(graph, Options(), &ref);
+    ASSERT_TRUE(Enumerate(graph, Options(), &ref, nullptr).ok());
 
     BbkEnumerator engine(graph);
     FingerprintSink got;
@@ -175,6 +175,37 @@ TEST(BbkEngineTest, FacadeParsesAndRunsParallel) {
   EXPECT_EQ(run.termination, Termination::kComplete);
   EXPECT_EQ(parallel.Digest(), serial.Digest());
   EXPECT_EQ(parallel.count(), serial.count());
+}
+
+TEST(BbkEngineTest, ForcedBitmapFacadeRunsMatchMbet) {
+  // BBK with forced bitmaps (bitmap_density 0) and a wide split fan-out
+  // is selected only by the caller; on a tiny, a dense and a sparse
+  // power-law graph it must enumerate exactly MBET's set, serial and
+  // parallel, and the forced bitmaps must actually be built.
+  const BipartiteGraph graphs[] = {
+      gen::ErdosRenyi(8, 8, 0.2, 3),
+      gen::ErdosRenyi(60, 60, 0.3, 3),
+      gen::PowerLaw(200, 150, 1200, 0.85, 0.8, 22),
+  };
+  for (const BipartiteGraph& graph : graphs) {
+    FingerprintSink ref;
+    ASSERT_TRUE(Enumerate(graph, Options(), &ref, nullptr).ok());
+    for (unsigned threads : {1u, 4u}) {
+      Options o;
+      o.algorithm = Algorithm::kBbk;
+      o.mbet.bitmap_density = 0.0;
+      o.max_split = 32;
+      o.threads = threads;
+      FingerprintSink got;
+      RunResult run;
+      ASSERT_TRUE(Enumerate(graph, o, &got, &run).ok());
+      EXPECT_EQ(run.termination, Termination::kComplete);
+      EXPECT_EQ(got.Digest(), ref.Digest())
+          << graph.Summary() << " threads=" << threads;
+      EXPECT_EQ(got.count(), ref.count());
+      EXPECT_GT(run.stats.bitmap_conversions, 0u) << graph.Summary();
+    }
+  }
 }
 
 }  // namespace

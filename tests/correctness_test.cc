@@ -19,7 +19,7 @@ namespace {
 
 std::vector<Biclique> RunEnum(const BipartiteGraph& graph, const Options& options) {
   CollectSink sink;
-  Enumerate(graph, options, &sink);
+  EXPECT_TRUE(Enumerate(graph, options, &sink, nullptr).ok());
   return sink.TakeSorted();
 }
 
@@ -257,7 +257,7 @@ TEST(EdgeCaseTest, NoEdges) {
 TEST(EdgeCaseTest, SingleEdge) {
   BipartiteGraph graph = BipartiteGraph::FromEdges(3, 3, {{1, 2}});
   CollectSink sink;
-  Enumerate(graph, Options(), &sink);
+  ASSERT_TRUE(Enumerate(graph, Options(), &sink, nullptr).ok());
   const auto results = sink.TakeSorted();
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0], (Biclique{{1}, {2}}));
@@ -270,7 +270,7 @@ TEST(EdgeCaseTest, CompleteBipartite) {
   }
   BipartiteGraph graph = BipartiteGraph::FromEdges(4, 5, edges);
   CollectSink sink;
-  Enumerate(graph, Options(), &sink);
+  ASSERT_TRUE(Enumerate(graph, Options(), &sink, nullptr).ok());
   const auto results = sink.TakeSorted();
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].left.size(), 4u);
@@ -291,7 +291,7 @@ TEST(EdgeCaseTest, StarGraph) {
   for (VertexId v = 0; v < 8; ++v) edges.push_back({0, v});
   BipartiteGraph graph = BipartiteGraph::FromEdges(1, 8, edges);
   CollectSink sink;
-  Enumerate(graph, Options(), &sink);
+  ASSERT_TRUE(Enumerate(graph, Options(), &sink, nullptr).ok());
   const auto results = sink.TakeSorted();
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].right.size(), 8u);

@@ -31,13 +31,13 @@ BipartiteGraph WorstCaseGraph() { return gen::ErdosRenyi(60, 60, 0.5, 11); }
 // Used by the fault-build sweeps only; regular builds compile it out of use.
 [[maybe_unused]] std::vector<Biclique> ReferenceSet(const BipartiteGraph& graph) {
   CollectSink sink;
-  Enumerate(graph, Options(), &sink);
+  EXPECT_TRUE(Enumerate(graph, Options(), &sink, nullptr).ok());
   return sink.TakeSorted();
 }
 
 uint64_t ReferenceDigest(const BipartiteGraph& graph) {
   FingerprintSink sink;
-  Enumerate(graph, Options(), &sink);
+  EXPECT_TRUE(Enumerate(graph, Options(), &sink, nullptr).ok());
   return sink.Digest();
 }
 

@@ -42,7 +42,7 @@ TEST_P(SizeFilterTest, MatchesFilteredOracle) {
       options.mbet.min_left = c.min_left;
       options.mbet.min_right = c.min_right;
       CollectSink sink;
-      Enumerate(graph, options, &sink);
+      ASSERT_TRUE(Enumerate(graph, options, &sink, nullptr).ok());
       EXPECT_EQ(DiffResultSets(expected, sink.TakeSorted()), "")
           << AlgorithmName(algorithm) << " min_left=" << c.min_left
           << " min_right=" << c.min_right << " seed=" << seed;
@@ -69,7 +69,7 @@ TEST(SizeFilterTest, ConstraintsFollowCallerOrientationUnderAutoSwap) {
   options.mbet.min_right = 2;
   ASSERT_TRUE(options.auto_swap_sides);
   CollectSink sink;
-  Enumerate(graph, options, &sink);
+  ASSERT_TRUE(Enumerate(graph, options, &sink, nullptr).ok());
   EXPECT_EQ(DiffResultSets(expected, sink.TakeSorted()), "");
 }
 
@@ -79,7 +79,7 @@ TEST(SizeFilterTest, FilterPrunesWork) {
   RunResult full;
   {
     CountSink sink;
-    full = Enumerate(graph, unfiltered, &sink);
+    ASSERT_TRUE(Enumerate(graph, unfiltered, &sink, &full).ok());
   }
   Options filtered;
   filtered.mbet.min_left = 4;
@@ -87,7 +87,7 @@ TEST(SizeFilterTest, FilterPrunesWork) {
   RunResult pruned;
   {
     CountSink sink;
-    pruned = Enumerate(graph, filtered, &sink);
+    ASSERT_TRUE(Enumerate(graph, filtered, &sink, &pruned).ok());
   }
   // The thresholds must actually prune the search tree, not post-filter.
   EXPECT_LT(pruned.stats.nodes_expanded, full.stats.nodes_expanded);
@@ -110,7 +110,8 @@ TEST(MaximumBicliqueTest, MatchesOracleOnRandomGraphs) {
   for (uint64_t seed = 100; seed < 130; ++seed) {
     BipartiteGraph graph = gen::ErdosRenyi(13, 13, 0.35, seed);
     const uint64_t expected = OracleMaxEdges(graph, 1, 1);
-    const Biclique best = FindMaximumBiclique(graph, Options());
+    Biclique best;
+    ASSERT_TRUE(FindMaximumBiclique(graph, Options(), &best).ok());
     if (expected == 0) {
       EXPECT_TRUE(best.left.empty()) << "seed=" << seed;
       continue;
@@ -126,7 +127,8 @@ TEST(MaximumBicliqueTest, RespectsSizeConstraints) {
     Options options;
     options.mbet.min_left = 3;
     options.mbet.min_right = 3;
-    const Biclique best = FindMaximumBiclique(graph, options);
+    Biclique best;
+    ASSERT_TRUE(FindMaximumBiclique(graph, options, &best).ok());
     const uint64_t expected = OracleMaxEdges(graph, 3, 3);
     if (expected == 0) {
       EXPECT_TRUE(best.left.empty()) << "seed=" << seed;
@@ -142,7 +144,8 @@ TEST(MaximumBicliqueTest, FindsPlantedBlock) {
   BipartiteGraph base = gen::ErdosRenyi(200, 150, 0.01, 9);
   std::vector<gen::PlantedBiclique> planted;
   BipartiteGraph graph = gen::PlantBicliques(base, 1, 12, 10, 10, &planted);
-  const Biclique best = FindMaximumBiclique(graph, Options());
+  Biclique best;
+  ASSERT_TRUE(FindMaximumBiclique(graph, Options(), &best).ok());
   // The planted 12x10 block dwarfs anything the sparse background forms;
   // the maximum must contain it.
   EXPECT_GE(best.num_edges(), 120u);
@@ -160,10 +163,12 @@ TEST(MaximumBicliqueTest, AgreesWithFullEnumerationOnMediumGraph) {
       [&](std::span<const VertexId> l, std::span<const VertexId> r) {
         expected = std::max<uint64_t>(expected, l.size() * r.size());
       });
-  Enumerate(graph, Options(), &max_tracker);
+  ASSERT_TRUE(Enumerate(graph, Options(), &max_tracker, nullptr).ok());
   ASSERT_GT(expected, 0u);
 
-  const Biclique best = FindMaximumBiclique(graph, Options());
+
+  Biclique best;
+  ASSERT_TRUE(FindMaximumBiclique(graph, Options(), &best).ok());
   EXPECT_EQ(best.num_edges(), expected);
   EXPECT_TRUE(IsMaximalBiclique(graph, best));
 }

@@ -83,7 +83,7 @@ TEST_P(HalfGraphTest, CountIsN) {
   }
   // And the bicliques really are the chain.
   CollectSink sink;
-  Enumerate(graph, Options(), &sink);
+  ASSERT_TRUE(Enumerate(graph, Options(), &sink, nullptr).ok());
   for (const Biclique& b : sink.TakeSorted()) {
     ASSERT_FALSE(b.left.empty());
     const VertexId i = b.left.back();
@@ -144,7 +144,7 @@ TEST(AlmostCompleteTest, MinusOneEdgeGivesTwo) {
   }
   BipartiteGraph graph = BipartiteGraph::FromEdges(n, n, edges);
   CollectSink sink;
-  Enumerate(graph, Options(), &sink);
+  ASSERT_TRUE(Enumerate(graph, Options(), &sink, nullptr).ok());
   const auto results = sink.TakeSorted();
   ASSERT_EQ(results.size(), 2u);
   EXPECT_EQ(results[0].left.size() + results[0].right.size(), 2 * n - 1);

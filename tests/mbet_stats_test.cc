@@ -171,7 +171,7 @@ TEST(MbetStatsTest, SubtreePrunesAppearOnTwinHeavyGraphs) {
 TEST(MbetStatsTest, CandidatesClassifiedPerCandidateOnly) {
   // MBET classifies every candidate with the one per-candidate trie pass;
   // the two batch counters that perfbench still reads must stay 0 on every
-  // entry point, serial, parallel and tuned.
+  // entry point, serial and parallel.
   BipartiteGraph graph = Workload();
   MbetOptions options;
   options.trie_min_groups = 1;  // force the trie everywhere
@@ -182,19 +182,15 @@ TEST(MbetStatsTest, CandidatesClassifiedPerCandidateOnly) {
   EXPECT_EQ(engine.stats().batch_candidates_classified, 0u);
 
   for (unsigned threads : {1u, 4u}) {
-    for (bool tune : {false, true}) {
-      Options o;
-      o.threads = threads;
-      o.auto_tune = tune;
-      CountSink api_sink;
-      RunResult run;
-      ASSERT_TRUE(Enumerate(graph, o, &api_sink, &run).ok());
-      EXPECT_EQ(api_sink.count(), sink.count());
-      EXPECT_EQ(run.stats.batch_candidates_classified, 0u)
-          << "threads=" << threads << " tune=" << tune;
-      EXPECT_EQ(run.stats.simd_batch_calls, 0u)
-          << "threads=" << threads << " tune=" << tune;
-    }
+    Options o;
+    o.threads = threads;
+    CountSink api_sink;
+    RunResult run;
+    ASSERT_TRUE(Enumerate(graph, o, &api_sink, &run).ok());
+    EXPECT_EQ(api_sink.count(), sink.count());
+    EXPECT_EQ(run.stats.batch_candidates_classified, 0u)
+        << "threads=" << threads;
+    EXPECT_EQ(run.stats.simd_batch_calls, 0u) << "threads=" << threads;
   }
 }
 

@@ -121,12 +121,19 @@ TEST(OrderingTest, ParseAndNameRoundTrip) {
        {VertexOrder::kNone, VertexOrder::kDegreeAsc, VertexOrder::kDegreeDesc,
         VertexOrder::kTwoHopAsc, VertexOrder::kUnilateralAsc,
         VertexOrder::kRandom}) {
-    EXPECT_EQ(ParseVertexOrder(VertexOrderName(order)), order);
+    VertexOrder parsed = VertexOrder::kNone;
+    ASSERT_TRUE(ParseVertexOrder(VertexOrderName(order), &parsed).ok());
+    EXPECT_EQ(parsed, order);
   }
 }
 
-TEST(OrderingDeathTest, UnknownOrderNameAborts) {
-  EXPECT_DEATH(ParseVertexOrder("bogus"), "unknown vertex order");
+TEST(OrderingTest, UnknownOrderNameIsInvalidArgument) {
+  VertexOrder order = VertexOrder::kTwoHopAsc;
+  const util::Status status = ParseVertexOrder("bogus", &order);
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("unknown vertex order 'bogus'"),
+            std::string::npos);
+  EXPECT_EQ(order, VertexOrder::kTwoHopAsc);  // untouched on error
 }
 
 TEST(OrderingTest, ApplyOrderPreservesStructure) {

@@ -89,8 +89,8 @@ TEST(PqCoreReduceTest, PreservesQualifyingBicliquesEndToEnd) {
     without.core_reduce = false;
 
     CollectSink a, b;
-    Enumerate(g, with, &a);
-    Enumerate(g, without, &b);
+    ASSERT_TRUE(Enumerate(g, with, &a, nullptr).ok());
+    ASSERT_TRUE(Enumerate(g, without, &b, nullptr).ok());
     EXPECT_EQ(DiffResultSets(b.TakeSorted(), a.TakeSorted()), "")
         << "seed=" << seed;
   }

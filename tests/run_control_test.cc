@@ -29,7 +29,7 @@ BipartiteGraph WorstCaseGraph() { return gen::ErdosRenyi(90, 90, 0.5, 11); }
 
 std::vector<Biclique> ReferenceSet(const BipartiteGraph& graph) {
   CollectSink sink;
-  Enumerate(graph, Options(), &sink);
+  EXPECT_TRUE(Enumerate(graph, Options(), &sink, nullptr).ok());
   return sink.TakeSorted();
 }
 
@@ -241,14 +241,15 @@ TEST(RunControlTest, AnytimeMaximumBicliqueReturnsIncumbentAtDeadline) {
   EXPECT_TRUE(IsBiclique(graph, best)) << ToString(best);
 }
 
-TEST(RunControlTest, MaximumBicliqueCompleteRunMatchesLegacyShim) {
+TEST(RunControlTest, MaximumBicliqueCompleteRunMatchesCallWithoutResult) {
   const BipartiteGraph graph = MediumGraph();
-  Biclique via_status;
+  Biclique with_result;
   RunResult run;
-  ASSERT_TRUE(FindMaximumBiclique(graph, Options(), &via_status, &run).ok());
+  ASSERT_TRUE(FindMaximumBiclique(graph, Options(), &with_result, &run).ok());
   EXPECT_TRUE(run.complete());
-  const Biclique via_shim = FindMaximumBiclique(graph, Options());
-  EXPECT_EQ(via_status.num_edges(), via_shim.num_edges());
+  Biclique without_result;
+  ASSERT_TRUE(FindMaximumBiclique(graph, Options(), &without_result).ok());
+  EXPECT_EQ(with_result.num_edges(), without_result.num_edges());
 }
 
 // --- Status facade -----------------------------------------------------------

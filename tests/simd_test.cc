@@ -301,7 +301,8 @@ TEST(SimdDispatchTest, EnginesDigestIdenticalAcrossLevels) {
           Options options;
           options.algorithm = algorithm;
           options.threads = threads;
-          RunResult run = Enumerate(graph, options, &sink);
+          RunResult run;
+          ASSERT_TRUE(Enumerate(graph, options, &sink, &run).ok());
           ASSERT_TRUE(run.complete());
           EXPECT_EQ(static_cast<DispatchLevel>(run.stats.kernel_dispatch),
                     lvl);

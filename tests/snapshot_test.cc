@@ -679,6 +679,48 @@ TEST(CheckpointResumeTest, ResumeRejectsDifferentGraphOrAlgorithm) {
   std::remove(path.c_str());
 }
 
+TEST(CheckpointResumeTest, BbkSnapshotResumesOnlyWithBbk) {
+  // A snapshot records the engine that wrote it. An interrupted BBK run
+  // resumes only when the caller names BBK again; any other algorithm is
+  // a typed error that emits nothing and leaves the snapshot resumable.
+  const BipartiteGraph graph = MediumGraph();
+  const std::string ref_path = TempPath("bbk_only_ref.pmbf");
+  const DurableRun reference = RunDurable(graph, Algorithm::kBbk, 1, ref_path);
+  std::remove(ref_path.c_str());
+
+  const std::string path = TempPath("bbk_only.pmbf");
+  std::remove(path.c_str());
+  Options options;
+  options.algorithm = Algorithm::kBbk;
+  options.checkpoint.path = path;
+  options.checkpoint.every_s = 3600;
+  options.control.max_results = reference.emitted / 3 + 1;
+  CountSink sink;
+  RunResult run;
+  ASSERT_TRUE(Enumerate(graph, options, &sink, &run).ok());
+  ASSERT_EQ(run.termination, Termination::kBudget);
+  ASSERT_GT(run.frontier_pending, 0u);
+
+  for (Algorithm other : {Algorithm::kMbet, Algorithm::kImbea}) {
+    Options wrong;
+    wrong.algorithm = other;
+    wrong.checkpoint.path = path;
+    wrong.checkpoint.resume = true;
+    CountSink none;
+    const util::Status status = Enumerate(graph, wrong, &none, nullptr);
+    EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument)
+        << AlgorithmName(other);
+    EXPECT_EQ(none.count(), 0u);
+  }
+
+  const DurableRun resumed =
+      RunDurable(graph, Algorithm::kBbk, 1, path, /*resume=*/true);
+  EXPECT_EQ(resumed.termination, Termination::kComplete);
+  EXPECT_EQ(resumed.pending, 0u);
+  EXPECT_EQ(resumed.digest, reference.digest);
+  std::remove(path.c_str());
+}
+
 TEST(CheckpointResumeTest, CheckpointStopYieldsTypedTermination) {
   // The worst-case graph cannot finish within any test budget, so the
   // pre-set stop token is guaranteed to fire first (the checkpointer

@@ -11,12 +11,13 @@
 //   pmbe --dataset BX --algorithm imbea --timeout_s 30
 //   pmbe --input out.konect --format konect --threads 8 --output result.txt
 //   pmbe --dataset GH --max-biclique --min-left 3 --min-right 3
-//   pmbe --dataset TVT --timeout_s 1 --progress_every_s 0.2
+//   pmbe --dataset DBT --timeout_s 1 --progress_every_s 0.2
 //
 // Runs are interruptible: Ctrl-C requests cooperative cancellation (the
 // bicliques emitted so far are kept), and --timeout_s / --max_results /
 // --max_nodes bound the run, reporting how it terminated.
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdio>
@@ -101,6 +102,42 @@ int MergeCheckpoints(const std::string& list, const std::string& out_path) {
   return 0;
 }
 
+// Checks the flags that choose and shape the input graph, so that a bad
+// value is a typed error before anything is generated or loaded
+// (gen::FindDataset and gen::Materialize abort on them).
+mbe::util::Status CheckGraphSource(const mbe::util::FlagParser& flags) {
+  using mbe::util::Status;
+  const std::string dataset = flags.GetString("dataset");
+  if (!dataset.empty()) {
+    const std::vector<mbe::gen::DatasetSpec>& all = mbe::gen::AllDatasets();
+    if (std::none_of(all.begin(), all.end(),
+                     [&](const mbe::gen::DatasetSpec& spec) {
+                       return spec.name == dataset;
+                     })) {
+      std::string names;
+      for (const mbe::gen::DatasetSpec& spec : all) {
+        if (!names.empty()) names += " | ";
+        names += spec.name;
+      }
+      return Status::InvalidArgument("unknown dataset '" + dataset +
+                                     "' (expected " + names + ")");
+    }
+    const double scale = flags.GetDouble("scale");
+    if (!(scale > 0.0 && scale <= 1.0)) {  // also rejects NaN
+      char got[32];
+      std::snprintf(got, sizeof(got), "%g", scale);
+      return Status::InvalidArgument(
+          std::string("--scale must be in (0, 1] (got ") + got + ")");
+    }
+  }
+  const std::string format = flags.GetString("format");
+  if (format != "edgelist" && format != "konect") {
+    return Status::InvalidArgument("unknown --format '" + format +
+                                   "' (expected edgelist | konect)");
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -157,10 +194,6 @@ int main(int argc, char** argv) {
   flags.AddDouble("bitmap_density", 0.10,
                   "density threshold for bitmap-set classification "
                   "(0 = always bitmap, > 1 = never)");
-  flags.AddBool("tune", false,
-                "auto-tune bitmap_density / max_split from the graph "
-                "profile, overriding those flags (docs/TUNING.md); the "
-                "decision prints under --stats");
   flags.AddBool("max-biclique", false,
                 "find one maximum-edge biclique instead of enumerating");
   flags.AddString("output", "", "write bicliques to this file");
@@ -171,6 +204,36 @@ int main(int argc, char** argv) {
   if (!flags.GetString("merge_checkpoints").empty()) {
     return MergeCheckpoints(flags.GetString("merge_checkpoints"),
                             flags.GetString("checkpoint_path"));
+  }
+
+  // --- Graph source, algorithm, order: rejected before any load ----------
+  Options options;
+  if (util::Status valid = CheckGraphSource(flags); !valid.ok()) {
+    std::fprintf(stderr, "error: %s\n", valid.ToString().c_str());
+    return 2;
+  }
+  // These are cast to unsigned fields below, where a negative value would
+  // wrap (--threads -1 would ask for 2^32 - 1 workers).
+  for (const char* name : {"threads", "max_split", "min-left", "min-right"}) {
+    if (flags.GetInt(name) < 0) {
+      std::fprintf(stderr,
+                   "error: INVALID_ARGUMENT: --%s must not be negative (got "
+                   "%lld)\n",
+                   name, static_cast<long long>(flags.GetInt(name)));
+      return 2;
+    }
+  }
+  if (util::Status parsed =
+          ParseAlgorithm(flags.GetString("algorithm"), &options.algorithm);
+      !parsed.ok()) {
+    std::fprintf(stderr, "error: %s\n", parsed.ToString().c_str());
+    return 2;
+  }
+  if (util::Status parsed =
+          ParseVertexOrder(flags.GetString("order"), &options.order);
+      !parsed.ok()) {
+    std::fprintf(stderr, "error: %s\n", parsed.ToString().c_str());
+    return 2;
   }
 
   // --- Load or generate the graph ---------------------------------------
@@ -193,20 +256,11 @@ int main(int argc, char** argv) {
   }
   std::printf("graph: %s\n", graph.Summary().c_str());
 
-  Options options;
-  if (util::Status parsed =
-          ParseAlgorithm(flags.GetString("algorithm"), &options.algorithm);
-      !parsed.ok()) {
-    std::fprintf(stderr, "error: %s\n", parsed.ToString().c_str());
-    return 2;
-  }
-  options.order = ParseVertexOrder(flags.GetString("order"));
   options.threads = static_cast<unsigned>(flags.GetInt("threads"));
   options.max_split = static_cast<uint32_t>(flags.GetInt("max_split"));
   options.mbet.min_left = static_cast<uint32_t>(flags.GetInt("min-left"));
   options.mbet.min_right = static_cast<uint32_t>(flags.GetInt("min-right"));
   options.mbet.bitmap_density = flags.GetDouble("bitmap_density");
-  options.auto_tune = flags.GetBool("tune");
 
   // --- Run control --------------------------------------------------------
   // Negative values would be silently reinterpreted by the unsigned
@@ -399,17 +453,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(s.simd_difference_calls),
                 static_cast<unsigned long long>(s.simd_mask_calls),
                 static_cast<unsigned long long>(s.simd_word_calls));
-    if (s.auto_tuned != 0) {
-      std::printf("  auto-tune:           rule '%s' -> engine %s, "
-                  "bitmap_density %.3f, max_split %llu\n",
-                  TunerRuleName(static_cast<TunerRule>(s.tuner_rule)),
-                  s.tuned_algorithm != 0
-                      ? TunerEngineName(
-                            static_cast<TunerEngine>(s.tuned_algorithm))
-                      : "(pinned)",
-                  static_cast<double>(s.tuned_bitmap_density_x1000) / 1000.0,
-                  static_cast<unsigned long long>(s.tuned_max_split));
-    }
     if (options.max_memory_bytes > 0 || s.degradations > 0 ||
         s.faults_injected > 0) {
       std::printf("  memory budget:       peak %s bytes charged, "

@@ -340,12 +340,6 @@ int main(int argc, char** argv) {
       configs.push_back({"MBET bitmap disabled", o});
     }
     {
-      // Whatever the tuner picks must stay output-identical.
-      Options o;
-      o.auto_tune = true;
-      configs.push_back({"MBET auto-tuned", o});
-    }
-    {
       Options o;
       o.threads = 4;
       configs.push_back({"MBET x4", o});
