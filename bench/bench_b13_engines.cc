@@ -53,6 +53,11 @@ int main(int argc, char** argv) {
   flags.AddInt("repeats", 3,
                "timing repeats per cell (the minimum is reported)");
   flags.Parse(argc, argv);
+  const auto suite = bench::ResolveSuite(flags.GetString("suite"));
+  if (!suite.ok()) {
+    std::fprintf(stderr, "error: %s\n", suite.status().ToString().c_str());
+    return 2;
+  }
   const double scale = flags.GetDouble("scale");
   const double budget = flags.GetDouble("budget");
   const int repeats = std::max<int64_t>(1, flags.GetInt("repeats"));
@@ -77,8 +82,7 @@ int main(int argc, char** argv) {
   size_t bbk_ties = 0;
   bool counts_identical = true;
 
-  for (const std::string& name :
-       bench::ResolveSuite(flags.GetString("suite"))) {
+  for (const std::string& name : suite.value()) {
     const gen::DatasetSpec& spec = gen::FindDataset(name);
     const BipartiteGraph graph = gen::Materialize(spec, scale);
 

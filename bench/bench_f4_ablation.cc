@@ -14,6 +14,11 @@ int main(int argc, char** argv) {
   util::FlagParser flags;
   bench::AddCommonFlags(&flags);
   flags.Parse(argc, argv);
+  const auto suite = bench::ResolveSuite(flags.GetString("suite"));
+  if (!suite.ok()) {
+    std::fprintf(stderr, "error: %s\n", suite.status().ToString().c_str());
+    return 2;
+  }
   const double scale = flags.GetDouble("scale");
   const double budget = flags.GetDouble("budget");
 
@@ -22,7 +27,7 @@ int main(int argc, char** argv) {
                       "w/o both", "w/o Q-filter", "MBETM",
                       "trie probe ratio"});
 
-  for (const std::string& name : bench::ResolveSuite(flags.GetString("suite"))) {
+  for (const std::string& name : suite.value()) {
     BipartiteGraph graph = gen::Materialize(gen::FindDataset(name), scale);
 
     Options full;

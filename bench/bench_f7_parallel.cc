@@ -5,6 +5,7 @@
 // serializing the tail (visible in the counters table and in the worker
 // busy share even when wall-clock parallelism is unavailable).
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -60,13 +61,18 @@ int main(int argc, char** argv) {
   util::FlagParser flags;
   bench::AddCommonFlags(&flags);
   flags.Parse(argc, argv);
+  const auto suite = bench::ResolveSuite(flags.GetString("suite"));
+  if (!suite.ok()) {
+    std::fprintf(stderr, "error: %s\n", suite.status().ToString().c_str());
+    return 2;
+  }
   const double scale = flags.GetDouble("scale");
   const double budget = flags.GetDouble("budget");
 
   const unsigned hw = std::max(2u, std::thread::hardware_concurrency());
   std::vector<unsigned> thread_counts = {1, 2, 4};
   if (hw >= 8) thread_counts.push_back(8);
-  if (hw > 8) thread_counts.push_back(hw);
+  if (hw > 8) thread_counts.push_back(std::min(hw, kMaxThreads));
   const unsigned max_threads = thread_counts.back();
 
   bench::PrintBanner("F7", "parallel speedup on the work-stealing runtime");
@@ -91,7 +97,7 @@ int main(int argc, char** argv) {
   std::vector<JsonRow> timing_rows;
   std::vector<JsonRow> counter_rows;
   bool warmed_up = false;
-  for (const std::string& name : bench::ResolveSuite(flags.GetString("suite"))) {
+  for (const std::string& name : suite.value()) {
     BipartiteGraph graph = gen::Materialize(gen::FindDataset(name), scale);
     if (!warmed_up) {
       WarmUp(graph, max_threads);

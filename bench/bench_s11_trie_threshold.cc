@@ -11,6 +11,11 @@ int main(int argc, char** argv) {
   util::FlagParser flags;
   bench::AddCommonFlags(&flags);
   flags.Parse(argc, argv);
+  const auto suite = bench::ResolveSuite(flags.GetString("suite"));
+  if (!suite.ok()) {
+    std::fprintf(stderr, "error: %s\n", suite.status().ToString().c_str());
+    return 2;
+  }
   const double scale = flags.GetDouble("scale");
   const double budget = flags.GetDouble("budget");
 
@@ -23,7 +28,7 @@ int main(int argc, char** argv) {
   }
   bench::Table table(headers);
 
-  for (const std::string& name : bench::ResolveSuite(flags.GetString("suite"))) {
+  for (const std::string& name : suite.value()) {
     BipartiteGraph graph = gen::Materialize(gen::FindDataset(name), scale);
     std::vector<std::string> row = {name};
     for (uint32_t t : thresholds) {

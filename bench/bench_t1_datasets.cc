@@ -12,6 +12,11 @@ int main(int argc, char** argv) {
   util::FlagParser flags;
   bench::AddCommonFlags(&flags);
   flags.Parse(argc, argv);
+  const auto suite = bench::ResolveSuite(flags.GetString("suite"));
+  if (!suite.ok()) {
+    std::fprintf(stderr, "error: %s\n", suite.status().ToString().c_str());
+    return 2;
+  }
   const double scale = flags.GetDouble("scale");
   const double budget = flags.GetDouble("budget");
 
@@ -19,7 +24,7 @@ int main(int argc, char** argv) {
   bench::Table table({"dataset", "stands in for", "|U|", "|V|", "|E|", "D(U)",
                       "D2(U)", "D(V)", "D2(V)", "max. bicliques"});
 
-  for (const std::string& name : bench::ResolveSuite(flags.GetString("suite"))) {
+  for (const std::string& name : suite.value()) {
     const gen::DatasetSpec& spec = gen::FindDataset(name);
     BipartiteGraph graph = gen::Materialize(spec, scale);
     GraphStats stats = ComputeStats(graph, /*with_two_hop=*/true);

@@ -4,6 +4,7 @@
 // tied nearly everywhere; the from-scratch baseline (MineLMBC) orders of
 // magnitude behind on biclique-rich datasets.
 
+#include <algorithm>
 #include <cstdio>
 #include <thread>
 
@@ -15,11 +16,17 @@ int main(int argc, char** argv) {
   util::FlagParser flags;
   bench::AddCommonFlags(&flags);
   flags.Parse(argc, argv);
+  const auto suite = bench::ResolveSuite(flags.GetString("suite"));
+  if (!suite.ok()) {
+    std::fprintf(stderr, "error: %s\n", suite.status().ToString().c_str());
+    return 2;
+  }
   const double scale = flags.GetDouble("scale");
   const double budget = flags.GetDouble("budget");
   unsigned par_threads = static_cast<unsigned>(flags.GetInt("threads"));
   if (par_threads <= 1) {
-    par_threads = std::max(2u, std::thread::hardware_concurrency());
+    par_threads =
+        std::clamp(std::thread::hardware_concurrency(), 2u, kMaxThreads);
   }
 
   bench::PrintBanner("T2", "overall runtime, all algorithms");
@@ -42,7 +49,7 @@ int main(int argc, char** argv) {
       {Algorithm::kMbet, VertexOrder::kDegreeAsc, par_threads},
   };
 
-  for (const std::string& name : bench::ResolveSuite(flags.GetString("suite"))) {
+  for (const std::string& name : suite.value()) {
     BipartiteGraph graph = gen::Materialize(gen::FindDataset(name), scale);
     std::vector<std::string> row = {name};
     std::string count_cell = "?";

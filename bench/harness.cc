@@ -240,7 +240,8 @@ void AddCommonFlags(util::FlagParser* flags) {
                  "default: debug timings are not comparable baselines)");
 }
 
-std::vector<std::string> ResolveSuite(const std::string& suite) {
+util::StatusOr<std::vector<std::string>> ResolveSuite(
+    const std::string& suite) {
   if (suite == "default") return gen::DefaultSuite();
   if (suite == "full") return gen::FullSuite();
   if (suite == "large") {
@@ -262,7 +263,13 @@ std::vector<std::string> ResolveSuite(const std::string& suite) {
     }
   }
   if (!current.empty()) names.push_back(current);
-  for (const std::string& name : names) gen::FindDataset(name);  // validate
+  if (names.empty()) {
+    return util::Status::InvalidArgument("--suite names no dataset (got '" +
+                                         suite + "')");
+  }
+  for (const std::string& name : names) {
+    PMBE_RETURN_IF_ERROR(gen::CheckDatasetName(name));
+  }
   return names;
 }
 

@@ -101,8 +101,10 @@ void PrintBanner(const std::string& experiment_id, const std::string& title);
 void AddCommonFlags(util::FlagParser* flags);
 
 /// Resolves --suite ("default", "full", "large", or a comma list of
-/// dataset names) into dataset names.
-std::vector<std::string> ResolveSuite(const std::string& suite);
+/// dataset names) into dataset names. InvalidArgument when the list is
+/// empty or names an unregistered dataset.
+util::StatusOr<std::vector<std::string>> ResolveSuite(
+    const std::string& suite);
 
 }  // namespace mbe::bench
 

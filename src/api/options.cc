@@ -72,8 +72,10 @@ util::Status RunOptions::Validate() const {
         "unknown algorithm id " +
         std::to_string(static_cast<int>(algorithm)));
   }
-  if (threads == 0) {
-    return util::Status::InvalidArgument("threads must be >= 1 (got 0)");
+  if (threads == 0 || threads > kMaxThreads) {
+    return util::Status::InvalidArgument(
+        "threads must be in [1, " + std::to_string(kMaxThreads) + "] (got " +
+        std::to_string(threads) + ")");
   }
   if (threads > 1 && !SupportsParallel(algorithm)) {
     return util::Status::InvalidArgument(
@@ -84,6 +86,13 @@ util::Status RunOptions::Validate() const {
     return util::Status::InvalidArgument(
         "mbet.min_left / mbet.min_right are minimum side sizes and must be "
         ">= 1 (got 0)");
+  }
+  if ((mbet.min_left > 1 || mbet.min_right > 1) &&
+      algorithm != Algorithm::kMbet && algorithm != Algorithm::kMbetM) {
+    return util::Status::InvalidArgument(
+        std::string("size thresholds mbet.min_left / mbet.min_right > 1 are "
+                    "applied only by mbet and mbetm; ") +
+        AlgorithmName(algorithm) + " would ignore them");
   }
   if (mbet.trie_min_groups == 0) {
     return util::Status::InvalidArgument(

@@ -58,6 +58,11 @@ const char* AlgorithmName(Algorithm algorithm);
 /// any parallel or pooled execution) supports.
 bool SupportsParallel(Algorithm algorithm);
 
+/// Upper bound on RunOptions::threads. A standalone parallel run starts
+/// one OS thread per worker (up to the number of seed tasks), so a larger
+/// value is a typed error rather than thousands of threads.
+inline constexpr unsigned kMaxThreads = 256;
+
 /// Graph preprocessing configuration, fixed at `Engine::Build` time. All
 /// vertex-size thresholds are stated in the *caller's* orientation; the
 /// engine accounts for side swapping internally.
@@ -103,8 +108,8 @@ enum class Scheduling { kStealing };
 struct RunOptions {
   Algorithm algorithm = Algorithm::kMbet;
 
-  /// Worker threads for a standalone `Session::Run`. >1 uses the
-  /// per-vertex subtree decomposition, which requires
+  /// Worker threads for a standalone `Session::Run`, in [1, kMaxThreads].
+  /// >1 uses the per-vertex subtree decomposition, which requires
   /// SupportsParallel(algorithm). Ignored when the session is submitted
   /// to a shared TaskRuntime (Session::Submit) — the runtime brings the
   /// threads.
@@ -118,6 +123,8 @@ struct RunOptions {
   /// Ablation switches forwarded to MBET (trie / aggregation / Q pruning),
   /// plus the size thresholds min_left/min_right — stated in the caller's
   /// orientation; the session swaps them when the engine swapped sides.
+  /// Only MBET and MBETM apply the thresholds, so Validate rejects a
+  /// threshold > 1 for every other algorithm.
   MbetOptions mbet;
 
   /// Run control: cooperative cancellation, wall-clock deadline, result /

@@ -293,13 +293,29 @@ void MbetEnumerator::Classify(Level& lvl) {
   }
 }
 
-MbetEnumerator::Level& MbetEnumerator::BuildChild(
-    size_t depth, uint32_t traversed, std::vector<VertexId>* absorbed_members) {
+std::span<const VertexId> MbetEnumerator::LocalOrAdjacency(
+    const Level& lvl, const Group& g) const {
+  if (options_.recompute_locals) {
+    return graph_.RightNeighbors(lvl.members[g.mem_off]);
+  }
+  return lvl.LocOf(g);
+}
+
+void MbetEnumerator::MergeIntoR(std::span<const VertexId> r,
+                                std::vector<VertexId>* additions,
+                                std::vector<VertexId>* out) {
+  std::sort(additions->begin(), additions->end());
+  out->clear();
+  out->reserve(r.size() + additions->size());
+  std::merge(r.begin(), r.end(), additions->begin(), additions->end(),
+             std::back_inserter(*out));
+}
+
+void MbetEnumerator::BuildChild(size_t depth, uint32_t traversed) {
   Level& lvl = *levels_[depth];
   Level& child = LevelAt(depth + 1);
   const uint32_t lp_size = static_cast<uint32_t>(child.l.size());
 
-  absorbed_members->clear();
   child.groups.clear();
   child.locs.clear();
   child.members.clear();
@@ -307,21 +323,11 @@ MbetEnumerator::Level& MbetEnumerator::BuildChild(
     if (h == traversed) continue;
     const Group& g = lvl.groups[h];
     const uint32_t count = lvl.counts[h];
-    if (!g.forbidden && count == lp_size) {
-      // Dominates L': belongs in R' of the child.
-      ++stats_.candidates_absorbed;
-      auto mem = lvl.MembersOf(g);
-      absorbed_members->insert(absorbed_members->end(), mem.begin(), mem.end());
-      continue;
-    }
-    if (count == 0) {
-      if (!g.forbidden) {
-        ++stats_.candidates_dropped;
-        continue;
-      }
-      if (options_.prune_q) continue;
-      // Ablation mode: keep dead Q groups alive (loc becomes empty).
-    }
+    // Absorbed and dropped candidates are settled by the caller.
+    if (!g.forbidden && (count == lp_size || count == 0)) continue;
+    // A Q group that misses L' is dead; the prune_q ablation keeps it
+    // alive with an empty local.
+    if (count == 0 && options_.prune_q) continue;
     Group c;
     c.forbidden = g.forbidden;
     c.min_member = g.min_member;
@@ -342,17 +348,10 @@ MbetEnumerator::Level& MbetEnumerator::BuildChild(
       // Materialize loc ∩ L' straight into the child's arena, hashing on
       // the way.
       uint64_t hash = 1469598103934665603ULL;
-      auto emit = [&](VertexId x) {
-        child.locs.push_back(x);
-        hash = (hash ^ (x + 1ULL)) * 1099511628211ULL;
-      };
-      if (options_.recompute_locals) {
-        for (VertexId x : graph_.RightNeighbors(lvl.members[g.mem_off])) {
-          if (lp_mask_.Test(x)) emit(x);
-        }
-      } else {
-        for (VertexId x : lvl.LocOf(g)) {
-          if (lp_mask_.Test(x)) emit(x);
+      for (VertexId x : LocalOrAdjacency(lvl, g)) {
+        if (lp_mask_.Test(x)) {
+          child.locs.push_back(x);
+          hash = (hash ^ (x + 1ULL)) * 1099511628211ULL;
         }
       }
       c.loc_hash = hash;
@@ -363,19 +362,41 @@ MbetEnumerator::Level& MbetEnumerator::BuildChild(
   Aggregate(&child);
   if (options_.recompute_locals) child.locs.clear();
   child.trie_built = false;
+}
 
-  // R' = R ∪ traversed members ∪ absorbed. R is sorted along the whole
-  // path; sort only the (small) additions and merge.
-  {
-    auto mem = lvl.MembersOf(lvl.groups[traversed]);
-    absorbed_members->insert(absorbed_members->end(), mem.begin(), mem.end());
-    std::sort(absorbed_members->begin(), absorbed_members->end());
-    child.r.clear();
-    child.r.reserve(lvl.r.size() + absorbed_members->size());
-    std::merge(lvl.r.begin(), lvl.r.end(), absorbed_members->begin(),
-               absorbed_members->end(), std::back_inserter(child.r));
+void MbetEnumerator::FinishChain(size_t depth, uint32_t chain,
+                                 std::vector<VertexId>* scratch,
+                                 ResultSink* sink) {
+  const Level& lvl = *levels_[depth];
+  const Level& child = *levels_[depth + 1];
+  Level& grandchild = LevelAt(depth + 2);
+  ++stats_.nodes_expanded;
+  if (Stopped(sink)) return;
+  const Group& c = lvl.groups[chain];
+  const uint32_t lpp_size = lvl.counts[chain];
+  if (lpp_size < options_.min_left) return;
+
+  // L'' = loc(c) ∩ L'. A forbidden group of the child covers L'' iff its
+  // parent local does (L'' ⊆ L'), and only a parent count of at least
+  // |L''| leaves room for that.
+  Intersect(LocalOrAdjacency(lvl, c), child.l, &grandchild.l);
+  PMBE_DCHECK(grandchild.l.size() == lpp_size);
+  for (size_t h = 0; h < lvl.groups.size(); ++h) {
+    const Group& q = lvl.groups[h];
+    if (q.forbidden && lvl.counts[h] >= lpp_size &&
+        IsSubset(grandchild.l, LocalOrAdjacency(lvl, q))) {
+      ++stats_.non_maximal;
+      return;
+    }
   }
-  return child;
+  // The grandchild has no candidate left (c was the only one), so it is
+  // a leaf: R'' = R' ∪ members(c).
+  auto mem = lvl.MembersOf(c);
+  scratch->assign(mem.begin(), mem.end());
+  MergeIntoR(child.r, scratch, &grandchild.r);
+  if (grandchild.r.size() >= options_.min_right) {
+    EmitBiclique(grandchild.l, grandchild.r, sink);
+  }
 }
 
 uint64_t MbetEnumerator::LevelBytes(const Level& lvl) {
@@ -537,26 +558,59 @@ void MbetEnumerator::Recurse(size_t depth, ResultSink* sink) {
       continue;
     }
 
-    BuildChild(depth, idx, absorbed_members);
+    // Settle the child's R' and count its candidates (non-forbidden groups
+    // other than g with 0 < count < |L'|) before building anything. The
+    // candidates not yet traversed are exactly the positions after this
+    // one: every earlier position is forbidden by now. Aggregation only
+    // merges candidates with each other, so a child with 0 or 1
+    // candidates here has 0 or 1 after it, and never branches.
+    absorbed_members->clear();
+    uint32_t child_candidates = 0;
+    uint32_t chain = 0;
+    uint64_t r_upper = 0;
+    for (uint32_t k = pos; k < lvl.order.size(); ++k) {
+      const uint32_t h = lvl.order[k];
+      const Group& cg = lvl.groups[h];
+      PMBE_DCHECK(!cg.forbidden);
+      const uint32_t count = lvl.counts[h];
+      if (count == lp_size) {
+        // Dominates L': belongs in R' of the child.
+        ++stats_.candidates_absorbed;
+        auto mem = lvl.MembersOf(cg);
+        absorbed_members->insert(absorbed_members->end(), mem.begin(),
+                                 mem.end());
+      } else if (count == 0) {
+        ++stats_.candidates_dropped;
+      } else {
+        ++child_candidates;
+        chain = h;
+        r_upper += cg.mem_len;
+      }
+    }
+    {
+      auto mem = lvl.MembersOf(g);
+      absorbed_members->insert(absorbed_members->end(), mem.begin(),
+                               mem.end());
+      MergeIntoR(lvl.r, absorbed_members, &child.r);
+    }
+    if (child_candidates > 1) BuildChild(depth, idx);
     lp_mask_.Clear(child.l);
 
     if (child.r.size() >= options_.min_right) {
       EmitBiclique(child.l, child.r, sink);
     }
 
-    bool has_candidate = false;
-    uint64_t r_upper = child.r.size();
-    for (const Group& cg : child.groups) {
-      if (!cg.forbidden) {
-        has_candidate = true;
-        r_upper += cg.mem_len;
-      }
+    // The child's own expansion gates.
+    r_upper += child.r.size();
+    const bool expand =
+        child_candidates > 0 && r_upper >= options_.min_right &&
+        (options_.best_edges == nullptr ||
+         child.l.size() * r_upper > *options_.best_edges);
+    if (expand && child_candidates == 1) {
+      FinishChain(depth, chain, absorbed_members, sink);
+    } else if (expand) {
+      Recurse(depth + 1, sink);
     }
-    const bool r_reachable = r_upper >= options_.min_right;
-    const bool bound_ok =
-        options_.best_edges == nullptr ||
-        child.l.size() * r_upper > *options_.best_edges;
-    if (has_candidate && r_reachable && bound_ok) Recurse(depth + 1, sink);
 
     g.forbidden = true;
   }

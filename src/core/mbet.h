@@ -32,6 +32,14 @@
 ///    traversing a candidate classifies every group — absorbed into R',
 ///    surviving candidate, dropped, or maximality witness — in one linear
 ///    pass over the trie, probing shared prefixes once.
+///  * Leaf and chain children: a child with no candidate left is emitted
+///    from the parent's classification, and a child with exactly one
+///    candidate c also finishes its single traversal there: L'' =
+///    loc(c) ∩ L' is checked against the parent's forbidden groups (a
+///    child Q group covers L'' iff its parent local does, as L'' ⊆ L').
+///    Aggregation only merges candidates with each other, so such a child
+///    never branches; only children with two or more candidates are built
+///    as levels. Same nodes, witnesses and emission order.
 ///  * Per-level state is arena-backed (one flat buffer for all locals, one
 ///    for all member lists); groups are plain 32-byte metadata records, so
 ///    the hot loops never allocate. Aggregation is one hash pass over the
@@ -208,12 +216,35 @@ class MbetEnumerator {
   /// fills lvl.counts with |loc(g) ∩ L'|.
   void Classify(Level& lvl);
 
-  /// Builds the child level at depth+1 from the parent's classification
-  /// (child.l must already hold L'). `traversed` is the group being
-  /// traversed; `absorbed_members` receives the members of absorbed
-  /// candidate groups.
-  Level& BuildChild(size_t depth, uint32_t traversed,
-                    std::vector<VertexId>* absorbed_members);
+  /// Builds the child's groups at depth+1 from the parent's classification
+  /// (child.l must already hold L' and lp_mask_ mark it): every forbidden
+  /// group that meets L' and every candidate left with 0 < count < |L'|,
+  /// restricted to L'. `traversed` is the group being traversed. The
+  /// absorbed and dropped candidates and R' are settled by the caller.
+  void BuildChild(size_t depth, uint32_t traversed);
+
+  /// Finishes a child at depth+1 that has exactly one candidate, `chain`
+  /// (a group of the parent level at `depth`), as the child's own Recurse
+  /// would: counts the node, polls, applies min_left, then checks L'' =
+  /// loc(chain) ∩ L' against the parent's forbidden groups and emits
+  /// (L'', R' ∪ members(chain)) unless one of them covers L''. Requires
+  /// the child level to hold L' and R' and the parent's counts against L'.
+  /// `scratch` is clobbered.
+  void FinishChain(size_t depth, uint32_t chain,
+                   std::vector<VertexId>* scratch, ResultSink* sink);
+
+  /// The group's local, or in MBETM mode the full adjacency of its
+  /// representative. Either one intersected with a subset of the node's L
+  /// gives the same set.
+  std::span<const VertexId> LocalOrAdjacency(const Level& lvl,
+                                             const Group& g) const;
+
+  /// *out = r ∪ *additions. R is sorted along the whole path, so only the
+  /// (small, unsorted, disjoint from r) additions are sorted before the
+  /// merge; `additions` is left sorted.
+  static void MergeIntoR(std::span<const VertexId> r,
+                         std::vector<VertexId>* additions,
+                         std::vector<VertexId>* out);
 
   /// Merges `lvl`'s groups with equal locals and equal status in one pass
   /// over an open-addressing table keyed on (forbidden, |loc|, hash); the

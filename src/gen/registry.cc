@@ -51,6 +51,17 @@ const DatasetSpec& FindDataset(const std::string& name) {
   return AllDatasets().front();
 }
 
+util::Status CheckDatasetName(const std::string& name) {
+  std::string names;
+  for (const DatasetSpec& spec : AllDatasets()) {
+    if (spec.name == name) return util::Status::Ok();
+    if (!names.empty()) names += " | ";
+    names += spec.name;
+  }
+  return util::Status::InvalidArgument("unknown dataset '" + name +
+                                       "' (expected " + names + ")");
+}
+
 BipartiteGraph Materialize(const DatasetSpec& spec, double scale) {
   PMBE_CHECK_MSG(scale > 0.0 && scale <= 1.0, "scale %f out of (0,1]", scale);
   auto scaled = [scale](size_t x) {

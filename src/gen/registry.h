@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "graph/bipartite_graph.h"
+#include "util/status.h"
 
 /// \file
 /// The dataset registry: named synthetic stand-ins for the real-world
@@ -45,6 +46,11 @@ const std::vector<DatasetSpec>& AllDatasets();
 
 /// Finds a dataset spec by short name; aborts if unknown.
 const DatasetSpec& FindDataset(const std::string& name);
+
+/// OK if `name` is a registered short name; otherwise InvalidArgument
+/// listing the registered names. Check user input with this before
+/// FindDataset.
+util::Status CheckDatasetName(const std::string& name);
 
 /// Materializes the stand-in graph for `spec`, already preprocessed the
 /// standard way: right side is the smaller side, neighbor lists sorted.

@@ -96,6 +96,12 @@ std::vector<RejectCase> RejectCases() {
       {"NegativeMinLeft", "--dataset WA --min-left -1",
        "INVALID_ARGUMENT: --min-left must not be negative"},
       {"TuneIsUnknownFlag", "--dataset WA --tune", "unknown flag --tune"},
+      {"SizeThresholdNeedsMbet", "--dataset WA --algorithm imbea --min-left 2",
+       "INVALID_ARGUMENT: size thresholds"},
+      {"ThreadsAboveCap", "--dataset WA --threads 100000",
+       "INVALID_ARGUMENT: threads must be in [1, 256] (got 100000)"},
+      {"ThreadsWrapTo32Bits", "--dataset WA --threads 4294967297",
+       "INVALID_ARGUMENT: --threads must be below 2^32"},
   };
 }
 

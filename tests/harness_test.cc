@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "bench/harness.h"
 #include "gen/generators.h"
 
@@ -41,6 +44,27 @@ TEST(TimedRunTest, RunWithinBudgetIsCompleted) {
   EXPECT_TRUE(run.completed);
   EXPECT_EQ(run.bicliques, CountMaximalBicliques(graph, options));
   EXPECT_NE(bench::TimeCell(run, 60).front(), '>');
+}
+
+TEST(ResolveSuiteTest, NamedSuitesAndListsResolve) {
+  const auto named = bench::ResolveSuite("default");
+  ASSERT_TRUE(named.ok()) << named.status().ToString();
+  EXPECT_EQ(named.value(), gen::DefaultSuite());
+  const auto list = bench::ResolveSuite("WA,GH");
+  ASSERT_TRUE(list.ok()) << list.status().ToString();
+  EXPECT_EQ(list.value(), (std::vector<std::string>{"WA", "GH"}));
+}
+
+TEST(ResolveSuiteTest, UnknownNameIsInvalidArgument) {
+  // Used to abort in gen::FindDataset; now a typed error the bench
+  // binaries print before exiting 2.
+  for (const char* suite : {"NOPE", "WA,NOPE", ","}) {
+    const auto resolved = bench::ResolveSuite(suite);
+    EXPECT_EQ(resolved.status().code(), util::StatusCode::kInvalidArgument)
+        << suite;
+  }
+  EXPECT_NE(bench::ResolveSuite("WA,NOPE").status().message().find("'NOPE'"),
+            std::string::npos);
 }
 
 }  // namespace

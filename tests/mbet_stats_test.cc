@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "api/mbe.h"
@@ -258,6 +260,166 @@ TEST(MbetStatsTest, SingleThreadEmissionOrderIsPinned) {
       EXPECT_EQ(sink.hash(), c.hash)
           << c.name << " mbetm=" << recompute << std::hex << " got 0x"
           << sink.hash();
+    }
+  }
+}
+
+TEST(MbetStatsTest, SearchCountersArePinned) {
+  // Recorded when every child that passed the maximality check was built
+  // as a full level. Leaf and chain children are now finished from their
+  // parent's classification; the search tree must not change. MBETM walks
+  // the same tree as MBET.
+  struct Case {
+    const char* name;
+    BipartiteGraph graph;
+    uint64_t nodes_expanded;
+    uint64_t non_maximal;
+    uint64_t candidates_absorbed;
+    uint64_t candidates_dropped;
+  };
+  const Case cases[] = {
+      {"powerlaw", Workload(), 1036u, 3162u, 1727u, 6160u},
+      {"hub-twins",
+       WithRightTwins(gen::HubBlock(30, 20, 30, 40, 0.4, 0.05, 7), 2), 299u,
+       416u, 176u, 101u},
+  };
+  for (const Case& c : cases) {
+    for (bool mbetm : {false, true}) {
+      MbetOptions options;
+      options.recompute_locals = mbetm;
+      CountSink sink;
+      MbetEnumerator engine(c.graph, options);
+      engine.EnumerateAll(&sink);
+      const EnumStats& s = engine.stats();
+      EXPECT_EQ(s.nodes_expanded, c.nodes_expanded)
+          << c.name << " mbetm=" << mbetm;
+      EXPECT_EQ(s.non_maximal, c.non_maximal) << c.name << " mbetm=" << mbetm;
+      EXPECT_EQ(s.candidates_absorbed, c.candidates_absorbed)
+          << c.name << " mbetm=" << mbetm;
+      EXPECT_EQ(s.candidates_dropped, c.candidates_dropped)
+          << c.name << " mbetm=" << mbetm;
+    }
+  }
+}
+
+/// Left 0..4, right 0..3. In subtree(1), L0 = {0,1,2,3}, right 0 is
+/// forbidden and rights 2 and 3 are candidates with locals {0,1,2} and
+/// {0,1,3}. Traversing right 2 leaves right 3 as the child's only
+/// candidate (a chain), so the grandchild is L'' = {0,1}. Right 0's
+/// neighborhood is {0,1,4} when `witnessed` (it covers L'', so the
+/// grandchild is not maximal) and {0,2,4} otherwise (it meets L' in two
+/// vertices, enough to be checked, but misses vertex 1).
+BipartiteGraph ChainGraph(bool witnessed) {
+  const std::vector<Edge> edges = {
+      {0, 0}, {witnessed ? 1u : 2u, 0}, {4, 0},   // right 0: forbidden
+      {0, 1}, {1, 1}, {2, 1}, {3, 1},             // right 1: subtree root
+      {0, 2}, {1, 2}, {2, 2},                     // right 2: traversed
+      {0, 3}, {1, 3}, {3, 3},                     // right 3: chain candidate
+  };
+  return BipartiteGraph::FromEdges(5, 4, edges);
+}
+
+std::vector<Biclique> OracleFiltered(const BipartiteGraph& graph,
+                                     size_t min_left, size_t min_right) {
+  std::vector<Biclique> all = BruteForceMbe(graph);
+  std::erase_if(all, [&](const Biclique& b) {
+    return b.left.size() < min_left || b.right.size() < min_right;
+  });
+  return all;
+}
+
+TEST(MbetStatsTest, ChainGrandchildCheckedAgainstForbiddenGroups) {
+  for (bool witnessed : {true, false}) {
+    const BipartiteGraph graph = ChainGraph(witnessed);
+    for (bool mbetm : {false, true}) {
+      MbetOptions options;
+      options.recompute_locals = mbetm;
+      CollectSink sink;
+      MbetEnumerator engine(graph, options);
+      engine.EnumerateAll(&sink);
+      EXPECT_EQ(DiffResultSets(BruteForceMbe(graph), sink.TakeSorted()), "")
+          << "witnessed=" << witnessed << " mbetm=" << mbetm;
+      // One node per expanded subtree root (0 and 1), plus the chain child.
+      EXPECT_EQ(engine.stats().nodes_expanded, 3u)
+          << "witnessed=" << witnessed << " mbetm=" << mbetm;
+      EXPECT_EQ(engine.stats().non_maximal, witnessed ? 1u : 0u)
+          << "mbetm=" << mbetm;
+    }
+  }
+}
+
+TEST(MbetStatsTest, LeafAndChainChildrenKeepSizeFilters) {
+  std::vector<BipartiteGraph> graphs = {ChainGraph(true), ChainGraph(false)};
+  for (uint64_t seed : {61u, 62u, 63u}) {
+    graphs.push_back(gen::ErdosRenyi(14, 12, 0.45, seed));
+  }
+  const std::pair<uint32_t, uint32_t> thresholds[] = {
+      {1, 1}, {2, 1}, {1, 2}, {2, 2}, {3, 2}, {2, 3}};
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    for (const auto& [min_left, min_right] : thresholds) {
+      const std::vector<Biclique> expected =
+          OracleFiltered(graphs[i], min_left, min_right);
+      for (bool mbetm : {false, true}) {
+        MbetOptions options;
+        options.recompute_locals = mbetm;
+        options.min_left = min_left;
+        options.min_right = min_right;
+        CollectSink sink;
+        MbetEnumerator engine(graphs[i], options);
+        engine.EnumerateAll(&sink);
+        EXPECT_EQ(DiffResultSets(expected, sink.TakeSorted()), "")
+            << "graph=" << i << " min=(" << min_left << "," << min_right
+            << ") mbetm=" << mbetm;
+      }
+    }
+  }
+}
+
+TEST(MbetStatsTest, MaximumBicliqueMatchesOracleThroughChains) {
+  std::vector<BipartiteGraph> graphs = {ChainGraph(true), ChainGraph(false)};
+  for (uint64_t seed : {71u, 72u, 73u, 74u}) {
+    graphs.push_back(gen::ErdosRenyi(13, 13, 0.4, seed));
+  }
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    for (uint32_t min_size : {1u, 2u}) {
+      uint64_t expected = 0;
+      for (const Biclique& b : OracleFiltered(graphs[i], min_size, min_size)) {
+        expected = std::max<uint64_t>(expected, b.num_edges());
+      }
+      Options options;
+      options.mbet.min_left = min_size;
+      options.mbet.min_right = min_size;
+      Biclique best;
+      ASSERT_TRUE(FindMaximumBiclique(graphs[i], options, &best).ok());
+      EXPECT_EQ(best.num_edges(), expected)
+          << "graph=" << i << " min=" << min_size;
+      if (expected > 0) {
+        EXPECT_TRUE(IsMaximalBiclique(graphs[i], best)) << ToString(best);
+      }
+    }
+  }
+}
+
+TEST(MbetStatsTest, NodeBudgetStopEmitsPrefixOfFullRun) {
+  // A single-threaded run stopped by the node budget must emit a prefix of
+  // the full run's emission sequence: chain children count and poll like
+  // the nodes they replace.
+  const BipartiteGraph graph = Workload();
+  Options options;
+  CollectSink full;
+  RunResult full_run;
+  ASSERT_TRUE(Enumerate(graph, options, &full, &full_run).ok());
+  ASSERT_EQ(full_run.termination, Termination::kComplete);
+  for (uint64_t budget : {1u, 150u, 600u}) {
+    options.control.max_nodes_expanded = budget;
+    CollectSink part;
+    RunResult run;
+    ASSERT_TRUE(Enumerate(graph, options, &part, &run).ok());
+    EXPECT_EQ(run.termination, Termination::kBudget) << "budget=" << budget;
+    ASSERT_LT(part.results().size(), full.results().size());
+    for (size_t i = 0; i < part.results().size(); ++i) {
+      ASSERT_EQ(part.results()[i], full.results()[i])
+          << "budget=" << budget << " emission " << i;
     }
   }
 }

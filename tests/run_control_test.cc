@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/mbe.h"
@@ -305,6 +306,16 @@ TEST(ValidateTest, RejectsEachMalformedField) {
     EXPECT_EQ(o.Validate().code(), util::StatusCode::kInvalidArgument);
   }
   {
+    // Validate only reads the count; no thread is started.
+    Options o;
+    o.threads = kMaxThreads + 1;
+    EXPECT_EQ(o.Validate().code(), util::StatusCode::kInvalidArgument);
+    o.threads = 100000;
+    EXPECT_EQ(o.Validate().code(), util::StatusCode::kInvalidArgument);
+    o.threads = kMaxThreads;
+    EXPECT_TRUE(o.Validate().ok());
+  }
+  {
     Options o;
     o.mbet.min_left = 0;
     EXPECT_EQ(o.Validate().code(), util::StatusCode::kInvalidArgument);
@@ -355,6 +366,28 @@ TEST(ValidateTest, ParallelSupportMatrix) {
     o.algorithm = algorithm;
     o.threads = 8;
     EXPECT_FALSE(o.Validate().ok()) << AlgorithmName(algorithm);
+  }
+}
+
+TEST(ValidateTest, SizeThresholdsOnlyForMbetFamily) {
+  // Only MBET and MBETM apply min_left / min_right; every other engine
+  // would silently return the unfiltered set.
+  for (int id = 0; id <= static_cast<int>(kLastAlgorithm); ++id) {
+    const Algorithm algorithm = static_cast<Algorithm>(id);
+    const bool applies =
+        algorithm == Algorithm::kMbet || algorithm == Algorithm::kMbetM;
+    for (const auto& [min_left, min_right] :
+         {std::pair{2u, 1u}, std::pair{1u, 2u}}) {
+      Options o;
+      o.algorithm = algorithm;
+      o.mbet.min_left = min_left;
+      o.mbet.min_right = min_right;
+      EXPECT_EQ(o.Validate().code(), applies
+                                         ? util::StatusCode::kOk
+                                         : util::StatusCode::kInvalidArgument)
+          << AlgorithmName(algorithm) << " min=(" << min_left << ","
+          << min_right << ")";
+    }
   }
 }
 

@@ -17,9 +17,9 @@
 // bicliques emitted so far are kept), and --timeout_s / --max_results /
 // --max_nodes bound the run, reporting how it terminated.
 
-#include <algorithm>
 #include <atomic>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -109,19 +109,7 @@ mbe::util::Status CheckGraphSource(const mbe::util::FlagParser& flags) {
   using mbe::util::Status;
   const std::string dataset = flags.GetString("dataset");
   if (!dataset.empty()) {
-    const std::vector<mbe::gen::DatasetSpec>& all = mbe::gen::AllDatasets();
-    if (std::none_of(all.begin(), all.end(),
-                     [&](const mbe::gen::DatasetSpec& spec) {
-                       return spec.name == dataset;
-                     })) {
-      std::string names;
-      for (const mbe::gen::DatasetSpec& spec : all) {
-        if (!names.empty()) names += " | ";
-        names += spec.name;
-      }
-      return Status::InvalidArgument("unknown dataset '" + dataset +
-                                     "' (expected " + names + ")");
-    }
+    PMBE_RETURN_IF_ERROR(mbe::gen::CheckDatasetName(dataset));
     const double scale = flags.GetDouble("scale");
     if (!(scale > 0.0 && scale <= 1.0)) {  // also rejects NaN
       char got[32];
@@ -212,12 +200,20 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", valid.ToString().c_str());
     return 2;
   }
-  // These are cast to unsigned fields below, where a negative value would
-  // wrap (--threads -1 would ask for 2^32 - 1 workers).
+  // These are cast to 32-bit unsigned fields below, where a negative or
+  // wider value would wrap (--threads -1 would ask for 2^32 - 1 workers,
+  // --threads 4294967297 for one).
   for (const char* name : {"threads", "max_split", "min-left", "min-right"}) {
     if (flags.GetInt(name) < 0) {
       std::fprintf(stderr,
                    "error: INVALID_ARGUMENT: --%s must not be negative (got "
+                   "%lld)\n",
+                   name, static_cast<long long>(flags.GetInt(name)));
+      return 2;
+    }
+    if (flags.GetInt(name) > UINT32_MAX) {
+      std::fprintf(stderr,
+                   "error: INVALID_ARGUMENT: --%s must be below 2^32 (got "
                    "%lld)\n",
                    name, static_cast<long long>(flags.GetInt(name)));
       return 2;
@@ -233,6 +229,17 @@ int main(int argc, char** argv) {
           ParseVertexOrder(flags.GetString("order"), &options.order);
       !parsed.ok()) {
     std::fprintf(stderr, "error: %s\n", parsed.ToString().c_str());
+    return 2;
+  }
+  options.threads = static_cast<unsigned>(flags.GetInt("threads"));
+  options.max_split = static_cast<uint32_t>(flags.GetInt("max_split"));
+  options.mbet.min_left = static_cast<uint32_t>(flags.GetInt("min-left"));
+  options.mbet.min_right = static_cast<uint32_t>(flags.GetInt("min-right"));
+  options.mbet.bitmap_density = flags.GetDouble("bitmap_density");
+  // The run-control and durability fields below are still at their
+  // defaults; the full check after them repeats this one.
+  if (util::Status valid = options.Validate(); !valid.ok()) {
+    std::fprintf(stderr, "error: %s\n", valid.ToString().c_str());
     return 2;
   }
 
@@ -255,12 +262,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   std::printf("graph: %s\n", graph.Summary().c_str());
-
-  options.threads = static_cast<unsigned>(flags.GetInt("threads"));
-  options.max_split = static_cast<uint32_t>(flags.GetInt("max_split"));
-  options.mbet.min_left = static_cast<uint32_t>(flags.GetInt("min-left"));
-  options.mbet.min_right = static_cast<uint32_t>(flags.GetInt("min-right"));
-  options.mbet.bitmap_density = flags.GetDouble("bitmap_density");
 
   // --- Run control --------------------------------------------------------
   // Negative values would be silently reinterpreted by the unsigned

@@ -118,6 +118,11 @@ int main(int argc, char** argv) {
   const bool verify = flags.GetBool("verify");
   const int reload_after = static_cast<int>(flags.GetInt("reload-after"));
 
+  if (auto status = mbe::gen::CheckDatasetName(flags.GetString("graph"));
+      !status.ok()) {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+    return 1;
+  }
   const mbe::gen::DatasetSpec& spec =
       mbe::gen::FindDataset(flags.GetString("graph"));
   const mbe::BipartiteGraph graph =
